@@ -633,6 +633,8 @@ def execute(spec: CommandSpec) -> Report:
         raise ValueError(f"unknown command {spec.command!r}")
     if spec.degree < 0:
         raise ValueError("degree cap must be nonnegative")
+    if spec.n < 1:
+        raise ValueError("need at least one variable")
     return RUNNERS[spec.command](spec)
 
 

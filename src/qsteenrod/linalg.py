@@ -259,6 +259,32 @@ def row_to_poly(row: SparseRFRow, n: int, columns: list[Monomial]) -> Polynomial
     return Polynomial(n, {columns[j]: c for j, c in row.items()})
 
 
+def slice_images(
+    apply: Callable[[Polynomial], Polynomial], n: int, d: int, shift: int
+) -> list[SparseRFRow]:
+    """Matrix of a degree-shift map on the degree-d slice, one row per source.
+
+    Row j is the image of the j-th monomial of degree d, indexed over the
+    monomials of degree d + shift; both sides run in descending lex order.
+    """
+    if d < 0 or d + shift < 0:
+        return []
+    index = {m: j for j, m in enumerate(monomials_of_degree(n, d + shift))}
+    return [
+        poly_to_row(apply(Polynomial.monomial(n, m)), index)
+        for m in monomials_of_degree(n, d)
+    ]
+
+
+def transpose(rows: Sequence[SparseRFRow], ncols: int) -> list[SparseRFRow]:
+    """Sparse transpose; the result has one (possibly empty) row per column."""
+    out: list[SparseRFRow] = [dict() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            out[j][i] = value
+    return out
+
+
 def echelonize(polys: Sequence[Polynomial]) -> list[Polynomial]:
     """Reduced echelon basis of the span of homogeneous polynomials.
 

@@ -9,8 +9,7 @@ x^K against itself by K! = k1! k2! ... kn!.
 from __future__ import annotations
 
 import math
-from itertools import permutations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import InhomogeneousError, VariableCountMismatchError
 from .scalars import RF_ONE, RF_ZERO, RationalFunction, _coerce
@@ -36,13 +35,6 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
             rec(prefix + (e,), left - e, k - 1)
 
     rec((), d, n)
-    return out
-
-
-def monomials_up_to_degree(n: int, cap: int) -> list[Monomial]:
-    out = []
-    for d in range(cap + 1):
-        out.extend(monomials_of_degree(n, d))
     return out
 
 
@@ -256,12 +248,6 @@ def permute_variables(p: Polynomial, sigma: tuple[int, ...]) -> Polynomial:
     return Polynomial(p.n, terms)
 
 
-def symmetrize_orbit(n: int, exps: Monomial) -> Polynomial:
-    """Sum of the distinct monomials in the symmetric-group orbit of x^exps."""
-    seen = {tuple(exps[j] for j in perm) for perm in permutations(range(n))}
-    return Polynomial(n, {m: RF_ONE for m in seen})
-
-
 def factorial_weight(mono: Monomial) -> int:
     """The weight K! = k1! k2! ... kn! of the diagonal scalar product."""
     w = 1
@@ -285,11 +271,3 @@ def scalar_product(
         if other is not None:
             acc = acc + coeff * other * _coerce(weigh(mono))
     return acc
-
-
-def iter_homogeneous_parts(p: Polynomial) -> Iterator[tuple[int, Polynomial]]:
-    by_degree: dict[int, dict[Monomial, RationalFunction]] = {}
-    for mono, coeff in p.terms.items():
-        by_degree.setdefault(sum(mono), {})[mono] = coeff
-    for d in sorted(by_degree):
-        yield d, Polynomial(p.n, by_degree[d])

@@ -91,13 +91,6 @@ def qp_scale(a: IntPoly, c: int) -> IntPoly:
     return tuple(v * c for v in a)
 
 
-def qp_pow(a: IntPoly, e: int) -> IntPoly:
-    out = QP_ONE
-    for _ in range(e):
-        out = qp_mul(out, a)
-    return out
-
-
 def qp_eval(a: IntPoly, q0: Fraction) -> Fraction:
     """Evaluate at a rational point (Horner)."""
     acc = Fraction(0)
@@ -196,10 +189,6 @@ def qp_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return QP_ZERO
     return qp_div_exact(qp_mul(a, b), qp_gcd(a, b))
-
-
-def qp_derivative(a: IntPoly) -> IntPoly:
-    return qp_trim(tuple(i * a[i] for i in range(1, len(a))))
 
 
 def qp_str(a: IntPoly, var: str = "q") -> str:
@@ -410,7 +399,10 @@ class QParam:
         m = _RATIONAL_RE.match(text)
         if not m:
             raise ValueError(f"cannot parse q value {text!r}")
-        return QParam(Fraction(int(m.group(1)), int(m.group(2) or 1)))
+        den = int(m.group(2) or 1)
+        if den == 0:
+            raise ValueError(f"q value {text!r} has a zero denominator")
+        return QParam(Fraction(int(m.group(1)), den))
 
     @property
     def is_formal(self) -> bool:

@@ -11,6 +11,7 @@ of Weyl operators, the machinery that fails for nonzero q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 from .errors import NonReducedWordError
@@ -19,6 +20,9 @@ from .linalg import (
     kernel_basis,
     reduced_echelon,
     rf_rows_to_int,
+    slice_images,
+    sparse_rank,
+    transpose,
 )
 from .polynomials import Monomial, Polynomial, monomials_of_degree
 from .scalars import QParam, RF_ZERO, RationalFunction
@@ -165,15 +169,15 @@ class GradedOperator:
     def from_callable(n: int, shift: int, cap: int, func) -> "GradedOperator":
         blocks = []
         for d in range(cap + 1):
-            sources = monomials_of_degree(n, d)
-            targets = monomials_of_degree(n, d + shift) if d + shift >= 0 else []
-            tindex = {m: j for j, m in enumerate(targets)}
-            block = [[RF_ZERO] * len(sources) for _ in targets]
-            for j, mono in enumerate(sources):
-                image = func(Polynomial.monomial(n, mono))
-                for tmono, coeff in image.terms.items():
-                    block[tindex[tmono]][j] = coeff
-            blocks.append(tuple(tuple(row) for row in block))
+            images = slice_images(func, n, d, shift)
+            targets = len(monomials_of_degree(n, d + shift)) if d + shift >= 0 else 0
+            block = transpose(images, targets)
+            blocks.append(
+                tuple(
+                    tuple(row.get(j, RF_ZERO) for j in range(len(images)))
+                    for row in block
+                )
+            )
         return GradedOperator(n, shift, cap, tuple(blocks))
 
     def apply(self, p: Polynomial) -> Polynomial:
@@ -256,40 +260,25 @@ def commutant_search(
     def unknown(d: int, r: int, c: int) -> int:
         return offsets[d] + r * dims[d] + c
 
-    mono_index = [
-        {m: j for j, m in enumerate(monomials_of_degree(n, d))}
-        for d in range(cap + 2)
-    ]
-    images: dict[tuple[int, int, int], Polynomial] = {}
-
-    def image(op_key: int, op: WeylElement, d: int, j: int) -> Polynomial:
-        key = (op_key, d, j)
-        if key not in images:
-            mono = monomials_of_degree(n, d)[j]
-            images[key] = weyl_apply(op, Polynomial.monomial(n, mono))
-        return images[key]
-
     equations: list[SparseRFRow] = []
-    for gi, (gen, right) in enumerate(zip(gens, rights)):
+    for gen, right in zip(gens, rights):
         k = gen.grading()
         for d in range(0, cap + 1):
             if d + k > cap:
                 continue
+            # G on degree d - 1 (nothing when d = 0) and H on degree d
+            left_images = slice_images(partial(weyl_apply, gen), n, d - 1, k)
+            right_images = slice_images(partial(weyl_apply, right), n, d, k)
             # for each source monomial of degree d and each target monomial of
             # degree d + k - 1: (G T - T H) entry must vanish
             for j in range(dims[d]):
                 row_acc: dict[int, dict[int, RationalFunction]] = {}
                 # G o T: T sends source j to degree d-1 basis, then G acts
-                if d >= 1:
-                    for r in range(dims[d - 1]):
-                        img = image(2 * gi, gen, d - 1, r)
-                        for tmono, coeff in img.terms.items():
-                            t = mono_index[d + k - 1][tmono]
-                            row_acc.setdefault(t, {})[unknown(d, r, j)] = coeff
+                for r, img in enumerate(left_images):
+                    for t, coeff in img.items():
+                        row_acc.setdefault(t, {})[unknown(d, r, j)] = coeff
                 # T o H: H sends source j to degree d+k, then T_{d+k} acts
-                img = image(2 * gi + 1, right, d, j)
-                for gmono, coeff in img.terms.items():
-                    c = mono_index[d + k][gmono]
+                for c, coeff in right_images[j].items():
                     for t in range(dims[d + k - 1]):
                         cell = row_acc.setdefault(t, {})
                         idx = unknown(d + k, t, c)
@@ -339,9 +328,5 @@ def operator_in_span(
     for block in op.blocks:
         for row in block:
             ncols += len(row)
-    base_rank = sparse_rank_of(rows, ncols)
-    return sparse_rank_of(rows + [target], ncols) == base_rank
-
-
-def sparse_rank_of(rows: Sequence[SparseRFRow], ncols: int) -> int:
-    return len(reduced_echelon(rf_rows_to_int(rows), ncols)[0])
+    base_rank = sparse_rank(rf_rows_to_int(rows), ncols)
+    return sparse_rank(rf_rows_to_int(rows + [target]), ncols) == base_rank

@@ -12,16 +12,20 @@ cross-checks degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iter_product
+from typing import Sequence
 
 from .errors import InhomogeneousError
 from .linalg import (
+    SparseRFRow,
     echelonize,
     kernel_basis,
     reduced_echelon,
     rf_rows_to_int,
     row_to_poly,
+    slice_images,
+    transpose,
     weighted_complement as _complement,
 )
 from .polynomials import (
@@ -110,12 +114,30 @@ def harm_generator_degrees(n: int, q: QParam) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the hit polynomials at the given q."""
-    generators: list[Polynomial] = []
+    rows: list[SparseRFRow] = []
     for k in range(1, d + 1):
-        pk = make_pk(n, k, q)
-        for mono in monomials_of_degree(n, d - k):
-            generators.append(weyl_apply(pk, Polynomial.monomial(n, mono)))
-    return GradedSubspace(n, d, tuple(echelonize(generators)))
+        rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
+    columns = monomials_of_degree(n, d)
+    _, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
+    return GradedSubspace(n, d, tuple(row_to_poly(r, n, columns) for r in reduced))
+
+
+def down_constraint_rows(
+    n: int, d: int, q: QParam, degrees: Sequence[int]
+) -> list[SparseRFRow]:
+    """Stacked matrix of the down operators D_k, k in degrees, on degree d.
+
+    One row per monomial of degree d - k, indexed over the degree-d monomials;
+    zero rows are dropped.  The joint kernel is the harmonic slice.
+    """
+    rows: list[SparseRFRow] = []
+    for k in degrees:
+        if k > d:
+            continue
+        images = slice_images(partial(weyl_apply, dual_pk(n, k, q)), n, d, -k)
+        targets = len(monomials_of_degree(n, d - k))
+        rows.extend(r for r in transpose(images, targets) if r)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -125,22 +147,8 @@ def harm_component(
     """Degree-d slice of the harmonic polynomials at the given q."""
     degrees = generator_degrees or harm_generator_degrees(n, q)
     columns = monomials_of_degree(n, d)
-    index = {m: j for j, m in enumerate(columns)}
-    rows = []
-    for k in degrees:
-        if k > d:
-            continue
-        down = dual_pk(n, k, q)
-        targets = monomials_of_degree(n, d - k)
-        tindex = {m: j for j, m in enumerate(targets)}
-        blocks = [dict() for _ in targets]
-        for j, mono in enumerate(columns):
-            image = weyl_apply(down, Polynomial.monomial(n, mono))
-            for tmono, coeff in image.terms.items():
-                blocks[tindex[tmono]][j] = coeff
-        rows.extend(b for b in blocks if b)
-    int_rows = rf_rows_to_int(rows)
-    pivots, reduced = reduced_echelon(int_rows, len(columns))
+    rows = down_constraint_rows(n, d, q, degrees)
+    pivots, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
     vecs = kernel_basis(pivots, reduced, len(columns))
     polys = [row_to_poly(v, n, columns) for v in vecs]
     return GradedSubspace(n, d, tuple(echelonize(polys)))

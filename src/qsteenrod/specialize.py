@@ -13,12 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-import sympy
-
 from .errors import PoleError
-from .linalg import SparseIntRow, rf_rows_to_int, sparse_rank
+from .linalg import (
+    SparseIntRow,
+    clear_denominators,
+    poly_to_row,
+    rf_rows_to_int,
+    row_to_poly,
+    sparse_rank,
+)
 from .polynomials import Polynomial, monomials_of_degree, scalar_product
 from .scalars import (
     IntPoly,
@@ -27,7 +33,6 @@ from .scalars import (
     RationalFunction,
     qp_content,
     qp_degree,
-    qp_div_exact,
     qp_eval,
     qp_mul,
     qp_neg,
@@ -37,13 +42,7 @@ from .scalars import (
     qp_sub,
     qp_trim,
 )
-from .spaces import GradedSubspace, harm_component
-from .steenrod import dual_pk
-from .weyl import weyl_apply
-
-
-def specialize_scalar(c: RationalFunction, q0: Fraction) -> Fraction:
-    return c.evaluate(q0)
+from .spaces import GradedSubspace, down_constraint_rows, harm_component
 
 
 def specialize_poly(p: Polynomial, q0: Fraction) -> Polynomial:
@@ -59,32 +58,6 @@ def specialize_poly(p: Polynomial, q0: Fraction) -> Polynomial:
         if value:
             terms[mono] = RationalFunction.from_fraction(value)
     return Polynomial(p.n, terms)
-
-
-def _poly_content_free(p: Polynomial) -> Polynomial:
-    """Clear denominators and divide by the full Z[q]-content of the vector."""
-    from .scalars import qp_gcd, qp_lcm
-
-    lcm = QP_ONE
-    for coeff in p.terms.values():
-        lcm = qp_lcm(lcm, coeff.den)
-    cleared = {
-        mono: qp_mul(coeff.num, qp_div_exact(lcm, coeff.den))
-        for mono, coeff in p.terms.items()
-    }
-    g: IntPoly = ()
-    for value in cleared.values():
-        g = qp_gcd(g, value)
-        if g == QP_ONE:
-            break
-    lead = max(cleared)
-    if g != QP_ONE:
-        cleared = {m: qp_div_exact(v, g) for m, v in cleared.items()}
-    if cleared[lead][-1] < 0:
-        cleared = {m: qp_neg(v) for m, v in cleared.items()}
-    return Polynomial(
-        p.n, {m: RationalFunction.make(v) for m, v in cleared.items()}
-    )
 
 
 def content_free_basis(v: GradedSubspace) -> list[Polynomial]:
@@ -107,7 +80,13 @@ def content_free_basis(v: GradedSubspace) -> list[Polynomial]:
                 scalar_product(b, prev, ones) / scalar_product(prev, prev, ones)
             )
         orthogonal.append(w)
-    return [_poly_content_free(w) for w in orthogonal]
+    columns = monomials_of_degree(v.n, v.degree)
+    index = {m: j for j, m in enumerate(columns)}
+    rows = [clear_denominators(poly_to_row(w, index)) for w in orthogonal]
+    return [
+        row_to_poly({j: RationalFunction.make(c) for j, c in r.items()}, v.n, columns)
+        for r in rows
+    ]
 
 
 def specialized_dimension(n: int, d: int, q0: Fraction) -> tuple[int, int]:
@@ -191,7 +170,7 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
                 matrix[i] = _strip_int_content(matrix[i])
                 if matrix[i][0]:
                     dirty = True
-            for j in range(1, ncols_of(matrix)):
+            for j in range(1, len(matrix[0])):
                 entry = matrix[0][j]
                 if not entry:
                     continue
@@ -212,10 +191,6 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
     if product[-1] < 0:
         product = qp_neg(product)
     return rank, product
-
-
-def ncols_of(matrix: list[list[IntPoly]]) -> int:
-    return len(matrix[0]) if matrix else 0
 
 
 def _pseudo_quotient(entry: IntPoly, pivot: IntPoly) -> tuple[IntPoly, int]:
@@ -317,24 +292,18 @@ def qp_div_exact_q(a: IntPoly, b: IntPoly) -> IntPoly:
                 rem[i - db + j] -= f * b[j]
     if any(rem[:db]):
         raise ArithmeticError("inexact division over Q[q]")
-    denom = 1
-    for f in quot:
-        denom = denom * f.denominator // _gcd_int(denom, f.denominator)
+    denom = lcm(*(f.denominator for f in quot))
     scaled = [int(f * denom) for f in quot]
     out = qp_primitive(qp_trim(tuple(scaled)))
     return out
-
-
-def _gcd_int(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def _divisors(value: int) -> list[int]:
     """Positive divisors, via prime factorization so big inputs stay cheap."""
     if value == 0:
         return [1]
+    import sympy
+
     primes = sympy.factorint(abs(value))
     out = [1]
     for p, e in primes.items():
@@ -346,6 +315,8 @@ def factor_over_z(p: IntPoly) -> list[IntPoly]:
     """Irreducible integer-polynomial factors of p (content dropped)."""
     if len(p) <= 1:
         return []
+    import sympy
+
     x = sympy.Symbol("q")
     expr = sum(c * x**i for i, c in enumerate(p))
     _, factors = sympy.factor_list(sympy.Poly(expr, x))
@@ -378,25 +349,17 @@ class BadQReport:
 def harmonic_constraint_rows(
     n: int, d: int, generator_degrees: Sequence[int]
 ) -> tuple[list[SparseIntRow], int]:
-    """Stacked integer matrix of the down operators on the degree-d slice."""
-    columns = monomials_of_degree(n, d)
-    index = {m: j for j, m in enumerate(columns)}
+    """Stacked integer matrix of the down operators on the degree-d slice.
+
+    The entries are kept as they are, never divided by a row content:
+    dividing a row by a polynomial in q could remove roots of the minor gcd,
+    and those roots are the bad values of q.
+    """
     rows: list[SparseIntRow] = []
-    formal = QParam.formal()
-    for k in generator_degrees:
-        if k > d:
-            continue
-        down = dual_pk(n, k, formal)
-        targets = monomials_of_degree(n, d - k)
-        tindex = {m: j for j, m in enumerate(targets)}
-        blocks: list[SparseIntRow] = [dict() for _ in targets]
-        for j, mono in enumerate(columns):
-            image = weyl_apply(down, Polynomial.monomial(n, mono))
-            for tmono, coeff in image.terms.items():
-                assert coeff.den == QP_ONE
-                blocks[tindex[tmono]][j] = coeff.num
-        rows.extend(b for b in blocks if b)
-    return rows, len(columns)
+    for rf_row in down_constraint_rows(n, d, QParam.formal(), generator_degrees):
+        assert all(c.den == QP_ONE for c in rf_row.values())
+        rows.append({j: c.num for j, c in rf_row.items()})
+    return rows, len(monomials_of_degree(n, d))
 
 
 def evaluate_rows(
@@ -406,9 +369,7 @@ def evaluate_rows(
     out = []
     for row in rows:
         values = {j: qp_eval(v, q0) for j, v in row.items()}
-        denom = 1
-        for f in values.values():
-            denom = denom * f.denominator // _gcd_int(denom, f.denominator)
+        denom = lcm(*(f.denominator for f in values.values()))
         cleaned = {
             j: ((int(f * denom),) if f else ())
             for j, f in values.items()

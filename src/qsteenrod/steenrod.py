@@ -12,6 +12,7 @@ the commutator rule [P_k, P_l] = q (l - k) P_{k+l}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 from .errors import NonSymmetricError
@@ -20,9 +21,12 @@ from .scalars import QParam, RF_ONE, RF_ZERO, RationalFunction
 from .weyl import WeylElement, orbit_sum, weyl_apply, weyl_compose
 from .linalg import (
     kernel_basis,
+    poly_to_row,
     reduced_echelon,
     rf_rows_to_int,
+    slice_images,
     SparseRFRow,
+    transpose,
 )
 
 Partition = tuple[int, ...]
@@ -55,10 +59,6 @@ def partitions_of(
         yield ()
         return
     yield from rec(d, cap, length, ())
-
-
-def partition_count(d: int) -> int:
-    return sum(1 for _ in partitions_of(d))
 
 
 def make_pk(n: int, k: int, q: QParam) -> WeylElement:
@@ -185,39 +185,26 @@ def operator_span_rank(
         raise ValueError("probe cap must be at least the operator degree")
     lams = tuple(partitions_of(d))
     operators = [make_p_lambda(n, lam, q) for lam in lams]
-    if probe is not None:
-        probes = [probe]
-    else:
-        probes = [
-            Polynomial.monomial(n, mono)
-            for e in range(probe_cap + 1)
-            for mono in monomials_of_degree(n, e)
-        ]
+    # Per probe source, the images under every operator transposed: each row
+    # is one target coefficient across the operators, whose dependencies we
+    # want.
     rows: list[SparseRFRow] = []
-    for op in operators:
-        row: SparseRFRow = {}
-        offset = 0
-        for source in probes:
-            image = weyl_apply(op, source)
-            target_degree = source.homogeneous_degree() + d
-            columns = monomials_of_degree(n, target_degree)
-            index = {m: j for j, m in enumerate(columns)}
-            for mono, coeff in image.terms.items():
-                row[offset + index[mono]] = coeff
-            offset += len(columns)
-        rows.append(row)
-    ncols = 0
-    for source in probes:
-        ncols += len(monomials_of_degree(n, source.homogeneous_degree() + d))
-    # Transpose: operators are the vectors whose dependencies we want.
-    columns_per_op = len(lams)
-    transposed: list[SparseRFRow] = [dict() for _ in range(ncols)]
-    for op_index, row in enumerate(rows):
-        for j, coeff in row.items():
-            transposed[j][op_index] = coeff
-    int_rows = rf_rows_to_int(r for r in transposed if r)
-    pivots, reduced = reduced_echelon(int_rows, columns_per_op)
-    vecs = kernel_basis(pivots, reduced, columns_per_op)
+    if probe is not None:
+        targets = monomials_of_degree(n, probe.homogeneous_degree() + d)
+        index = {m: j for j, m in enumerate(targets)}
+        images = [poly_to_row(weyl_apply(op, probe), index) for op in operators]
+        rows = transpose(images, len(targets))
+    else:
+        for e in range(probe_cap + 1):
+            ntargets = len(monomials_of_degree(n, e + d))
+            per_op = [
+                slice_images(partial(weyl_apply, op), n, e, d) for op in operators
+            ]
+            for images in zip(*per_op):
+                rows.extend(transpose(images, ntargets))
+    int_rows = rf_rows_to_int(r for r in rows if r)
+    pivots, reduced = reduced_echelon(int_rows, len(lams))
+    vecs = kernel_basis(pivots, reduced, len(lams))
     relations = tuple(
         {lams[j]: coeff for j, coeff in sorted(vec.items())} for vec in vecs
     )

@@ -1,6 +1,9 @@
 """CLI reports: bit-exact payloads, formats, cache behavior, exit codes."""
 
+import hashlib
 import json
+
+import pytest
 
 from qsteenrod.cli import (
     CommandSpec,
@@ -146,6 +149,23 @@ def test_input_error_exit_code(capsys):
     assert main(["harm", "-d", "-3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["harm", "-n", "-1", "-d", "2"],
+        ["harm", "-n", "2", "-d", "2", "-q", "1/0"],
+        ["schubert", "-n", "0"],
+        ["truncated", "-n", "0"],
+        ["hilbert", "-n", "-2", "--kind", "sym"],
+    ],
+)
+def test_bad_variable_count_or_q_exits_2(argv, capsys):
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "input"
+
+
 def test_unknown_command_exit_code():
     assert main(["frobnicate"]) == 2
 
@@ -191,3 +211,43 @@ def test_serialize_subspace_well_formed():
     payload = serialize_subspace(space)
     assert payload["n"] == 2 and payload["degree"] == 3
     assert deserialize_subspace(payload) == space
+
+
+# sha256 of `qsteenrod <spec> --format json`.  Together the specs build every
+# operator-on-a-slice matrix: hit and harmonic slices at formal and rational
+# q, the bad-q constraint rows, divided-difference blocks, the commutant
+# equations and the operator span rank.  Any change to these bytes must be a
+# deliberate, documented fix.
+PINNED_REPORTS = [
+    ("harm -n 3 -d 5",
+     "f9cf5f436e5113bf71b43fb8fd6ea178a65f835f7bb3b58bc2cee3856508e64c"),
+    ("harm -n 2 -d 4 -q -2/3 --basis",
+     "38076ffa71a4f3a37153a3a63775e4f9b56b318bc69153f0265a469cdd97c226"),
+    ("hit -n 3 -d 5",
+     "8b96d2ad2ba158b4a33b3acda14167c7e88722aa00ad4c08cc159a494d09ca54"),
+    ("hit -n 3 -d 4 -q 1",
+     "f0e6f730e792bdf613a567c83b989345e62e99a1df66c14413f81320429087a6"),
+    ("badq -n 2 -d 8",
+     "395512a79cb30cb7d541dc2c0a4494e4aca46ac2a93480b3ca6d6b0dfb123d50"),
+    ("badq -n 3 -d 4 --all-generators",
+     "79decad700e6d3d53b92abd78af41f6716590b84bc9f4d47903e6b7f72f0984c"),
+    ("commutant -n 2 -d 4 -q 0",
+     "e3eda53e4390ad492db37809cacb452ee1274c0c5d26f0e8c60de441f4f377a8"),
+    ("commutant -n 3 -d 3 -q 1",
+     "836b5b261b4c0e959902f866164314120f5606c8f0fd06fa409637e111db8700"),
+    ("relations -n 3 -d 4",
+     "47519cdc254ff77630b119a3d7df4e1542d6f7e7e13253cd5a5d95439dba4367"),
+    ("verify -n 3 -d 5",
+     "4add65c8ae7b70c2349ee1901809934c003290a7846872fef6827871c7952e81"),
+    ("truncated -n 3 -d 4 -q -1/2",
+     "569ffd3f94edb499f833b2080467b68a12b027002dce65fb569d5f4202be1c57"),
+    ("schubert -n 3",
+     "2f11608335d36a75b23a23f19873e202ae91a776deb7e97cf1349d495a11a20a"),
+]
+
+
+@pytest.mark.parametrize("line, digest", PINNED_REPORTS)
+def test_report_bytes_pinned(line, digest, capsys):
+    assert main(line.split() + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

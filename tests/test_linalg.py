@@ -1,14 +1,24 @@
-"""Exact elimination: echelon forms, kernels, weighted complements."""
+"""Exact elimination: echelon forms, kernels, weighted complements, slices."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsteenrod.errors import InhomogeneousError, InvalidWeightError
-from qsteenrod.linalg import Matrix, echelonize, kernel, weighted_complement
-from qsteenrod.polynomials import Polynomial, monomials_of_degree
-from qsteenrod.scalars import RF_ONE, RF_Q, RF_ZERO, rf_normalize
+from qsteenrod.linalg import (
+    Matrix,
+    echelonize,
+    kernel,
+    slice_images,
+    transpose,
+    weighted_complement,
+)
+from qsteenrod.polynomials import Polynomial, factorial_weight, monomials_of_degree
+from qsteenrod.scalars import QParam, RF_ONE, RF_Q, RF_ZERO, rf_normalize
+from qsteenrod.steenrod import dual_pk, make_pk
+from qsteenrod.weyl import weyl_apply
 
 
 def x(n, i):
@@ -146,3 +156,40 @@ def test_weighted_complement_involution():
         assert len(comp) == len(monos) - len(v)
         back = weighted_complement(comp, n, d, factorial_weight)
         assert back == v
+
+
+def test_slice_images_shape_and_empty_slices():
+    p1 = partial(weyl_apply, make_pk(2, 1, QParam.formal()))
+    rows = slice_images(p1, 2, 2, 1)
+    assert len(rows) == len(monomials_of_degree(2, 2))
+    assert all(max(r) < len(monomials_of_degree(2, 3)) for r in rows)
+    # P_1 x1^2 = (1 + 2q) x1^3 + x1^2 x2: columns 0 and 1 of degree 3
+    assert rows[0] == {0: 1 + 2 * RF_Q, 1: RF_ONE}
+    assert slice_images(p1, 2, -1, 1) == []
+    assert slice_images(p1, 2, 1, -2) == []
+
+
+def test_transpose_keeps_empty_columns():
+    rows = [{0: RF_ONE, 2: RF_Q}, {2: RF_ONE}]
+    assert transpose(rows, 4) == [{0: RF_ONE}, {}, {0: RF_Q, 1: RF_ONE}, {}]
+    assert transpose([], 2) == [{}, {}]
+
+
+@pytest.mark.parametrize("q", [QParam.formal(), QParam.rational(-2, 3)])
+def test_down_operator_is_factorial_adjoint_on_every_slice(q):
+    """<P_k x^a, x^b> = <x^a, D_k x^b> under <x^K, x^K> = K!, slice by slice."""
+    for n in range(1, 4):
+        for d in range(0, 5):
+            for k in range(1, 5 - d + 1):
+                up = slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d, k)
+                down = slice_images(
+                    partial(weyl_apply, dual_pk(n, k, q)), n, d + k, -k
+                )
+                sources = monomials_of_degree(n, d)
+                targets = monomials_of_degree(n, d + k)
+                assert len(up) == len(sources) and len(down) == len(targets)
+                for a, ma in enumerate(sources):
+                    for b, mb in enumerate(targets):
+                        lhs = up[a].get(b, RF_ZERO) * factorial_weight(mb)
+                        rhs = down[b].get(a, RF_ZERO) * factorial_weight(ma)
+                        assert lhs == rhs

@@ -256,3 +256,15 @@ def test_extended_generator_flag():
     assert Fraction(0) not in full.rational_roots
     for root in full.rational_roots:
         assert root in lean.rational_roots
+
+
+def test_constraint_rows_keep_their_content():
+    # D_1 sends x1^2 x2 and x1 x2^2 to (2 + 2q) x1 x2, so the row of x1 x2 has
+    # content 2 + 2q.  The rank of D_1 on degree 3 drops at q = -1; dividing
+    # the row by its content would hide that root of the minor gcd.
+    rows, ncols = harmonic_constraint_rows(2, 3, (1,))
+    assert ncols == 4
+    assert rows[1] == {1: (2, 2), 2: (2, 2)}
+    rank, gcd = minor_gcd(rows, ncols)
+    assert rank == 3 and qp_eval(gcd, Fraction(-1)) == 0
+    assert sparse_rank(evaluate_rows(rows, Fraction(-1)), ncols) < rank
