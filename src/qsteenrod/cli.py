@@ -19,7 +19,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -27,18 +27,15 @@ from .errors import PoleError, QSteenrodError
 from .polynomials import Polynomial, monomials_of_degree
 from .scalars import QParam, RationalFunction
 from .spaces import (
+    COMPONENTS,
     GradedSubspace,
     HILBERT_KINDS,
     StaircaseSet,
-    harm_component,
     hilbert_of,
-    hit_component,
-    staircase_report,
-    truncated_harm_component,
-    truncated_hit_component,
+    staircase_degree,
     weighted_complement,
 )
-from .representations import graded_character, is_regular_representation
+from .representations import GradedCharacter, graded_character, is_regular_representation
 from .specialize import bad_q_candidates, conjectured_root_form, specialized_dimension
 from .steenrod import operator_span_rank, partitions_of
 from .strings import (
@@ -91,18 +88,7 @@ class CommandSpec:
     extended_generators: bool = False
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "degree": self.degree,
-            "q": str(self.q),
-            "output_format": self.output_format,
-            "cache_dir": self.cache_dir,
-            "seed": self.seed,
-            "include_basis": self.include_basis,
-            "kind": self.kind,
-            "extended_generators": self.extended_generators,
-        }
+        return {**asdict(self), "q": str(self.q)}
 
 
 @dataclass
@@ -123,12 +109,17 @@ class Report:
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    def to_csv(self) -> str:
+    def columns(self) -> list[str]:
+        """Table columns in first-seen order; keys starting with _ are listings."""
         columns: list[str] = []
         for row in self.tables:
             for key in row:
                 if key not in columns and not key.startswith("_"):
                     columns.append(key)
+        return columns
+
+    def to_csv(self) -> str:
+        columns = self.columns()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -140,11 +131,7 @@ class Report:
         lines = [f"# {self.spec['command']} (qsteenrod {self.version})"]
         lines.append("spec: " + json.dumps(self.spec, sort_keys=True))
         if self.tables:
-            columns = []
-            for row in self.tables:
-                for key in row:
-                    if key not in columns and not key.startswith("_"):
-                        columns.append(key)
+            columns = self.columns()
             widths = {
                 c: max(len(c), *(len(_csv_cell(r.get(c, ""))) for r in self.tables))
                 for c in columns
@@ -261,8 +248,9 @@ class SubspaceCache:
         os.replace(tmp, path)
 
 
-def cache_key(kind: str, n: int, d: int, q: QParam, flags: str = "") -> str:
-    return f"{kind}|n={n}|d={d}|q={q}|{flags}|v={__version__}"
+def cache_key(kind: str, n: int, d: int, q: QParam) -> str:
+    # the empty field between q and v keeps the keys of existing cache files
+    return f"{kind}|n={n}|d={d}|q={q}||v={__version__}"
 
 
 def cache_roundtrip(
@@ -281,14 +269,12 @@ def cache_roundtrip(
     return loaded
 
 
-def _cached_component(spec: CommandSpec, kind: str, n: int, d: int, q: QParam):
-    builders = {
-        "harm": harm_component,
-        "hit": hit_component,
-        "tqharm": truncated_harm_component,
-        "tqhit": truncated_hit_component,
-    }
-    build = builders[kind]
+def _cached_component(
+    spec: CommandSpec, kind: str, n: int, d: int, q: QParam
+) -> GradedSubspace:
+    """The degree-d slice of a family in spaces.COMPONENTS at q; with a cache
+    directory it is read from disk when stored there, else built and stored."""
+    build = COMPONENTS[kind]
     if not spec.cache_dir:
         return build(n, d, q)
     cache = SubspaceCache(spec.cache_dir)
@@ -309,8 +295,14 @@ def _basis_entry(p: Polynomial) -> dict:
     return {"terms": serialize_polynomial(p), "pretty": str(p)}
 
 
-def _frac(f: Fraction) -> str:
-    return str(f)
+def _regular_finding(chi: GradedCharacter, n: int) -> dict:
+    """Whether a graded character of harmonic slices is the regular one."""
+    cert = is_regular_representation(chi, n)
+    return {
+        "kind": "regular-representation",
+        "is_regular": cert.is_regular,
+        "totals": {".".join(map(str, ct)): str(v) for ct, v in cert.totals},
+    }
 
 
 def run_hilbert(spec: CommandSpec) -> Report:
@@ -341,7 +333,7 @@ def run_component(spec: CommandSpec) -> Report:
             row["_basis"] = [_basis_entry(p) for p in space.basis]
         tables.append(row)
         if kind == "harm" and not spec.q.is_formal:
-            generic = harm_component(spec.n, d, QParam.formal())
+            generic = _cached_component(spec, "harm", spec.n, d, QParam.formal())
             if space.dim > generic.dim:
                 findings.append(
                     {
@@ -361,7 +353,7 @@ def run_truncated(spec: CommandSpec) -> Report:
     for d in range(spec.degree + 1):
         tqhit = _cached_component(spec, "tqhit", spec.n, d, spec.q)
         tqharm = _cached_component(spec, "tqharm", spec.n, d, spec.q)
-        classical = harm_component(spec.n, d, QParam.rational(0))
+        classical = _cached_component(spec, "harm", spec.n, d, QParam.rational(0))
         full_dim = len(monomials_of_degree(spec.n, d))
         combined = echelonize(list(classical.basis) + list(tqhit.basis))
         direct_sum = classical.dim + tqhit.dim == full_dim == len(combined)
@@ -395,7 +387,7 @@ def run_badq(spec: CommandSpec) -> Report:
             "generic_rank": report.generic_rank,
             "generic_harm_dim": report.generic_harm_dim,
             "minor_gcd": report.pretty_gcd(),
-            "rational_roots": [_frac(r) for r in report.rational_roots],
+            "rational_roots": [str(r) for r in report.rational_roots],
             "nonrational_factors": [list(f) for f in report.nonrational_factors],
         }
     ]
@@ -405,7 +397,7 @@ def run_badq(spec: CommandSpec) -> Report:
         finding = {
             "kind": "bad-q-candidate",
             "degree": spec.degree,
-            "q0": _frac(root),
+            "q0": str(root),
             "kernel_dim_at_root": dim,
             "generic_dim": report.generic_harm_dim,
             **forms,
@@ -455,7 +447,8 @@ def run_strings(spec: CommandSpec) -> Report:
 
 def run_character(spec: CommandSpec) -> Report:
     family = [
-        harm_component(spec.n, d, spec.q) for d in range(spec.degree + 1)
+        _cached_component(spec, "harm", spec.n, d, spec.q)
+        for d in range(spec.degree + 1)
     ]
     chi = graded_character(family)
     classes = list(partitions_of(spec.n))
@@ -464,19 +457,9 @@ def run_character(spec: CommandSpec) -> Report:
         row = {"degree": d, "dim": family[d].dim}
         values = chi.degree(d)
         for ct in classes:
-            row["chi_" + ".".join(map(str, ct))] = _frac(values[ct])
+            row["chi_" + ".".join(map(str, ct))] = str(values[ct])
         tables.append(row)
-    cert = is_regular_representation(chi, spec.n)
-    findings = [
-        {
-            "kind": "regular-representation",
-            "is_regular": cert.is_regular,
-            "totals": {
-                ".".join(map(str, ct)): _frac(v) for ct, v in cert.totals
-            },
-        }
-    ]
-    return Report(spec.echo(), tables, findings)
+    return Report(spec.echo(), tables, [_regular_finding(chi, spec.n)])
 
 
 def run_schubert(spec: CommandSpec) -> Report:
@@ -563,38 +546,28 @@ def run_verify(spec: CommandSpec) -> Report:
     tables = []
     findings = []
     rng = random.Random(spec.seed)
-    stair = staircase_report(spec.n, spec.degree, spec.q)
+    harms = []
     for d in range(spec.degree + 1):
         harm = _cached_component(spec, "harm", spec.n, d, spec.q)
         hit = _cached_component(spec, "hit", spec.n, d, spec.q)
+        classical = _cached_component(spec, "harm", spec.n, d, QParam.rational(0))
+        harms.append(harm)
         complement = weighted_complement(hit)
         row = {
             "degree": d,
             "dim_harm": harm.dim,
             "dim_hit": hit.dim,
-            "dim_harm_q0": harm_component(spec.n, d, QParam.rational(0)).dim,
+            "dim_harm_q0": classical.dim,
             "orthogonal_ok": complement.basis == harm.basis,
-            "staircase_union_exact": stair.degrees[d].union_exact,
+            "staircase_union_exact": staircase_degree(harm, hit).union_exact,
         }
         tables.append(row)
         if not row["orthogonal_ok"]:
             findings.append({"kind": "orthogonality-failure", "degree": d})
     if spec.q.is_formal:
         top = spec.n * (spec.n - 1) // 2
-        family = [
-            harm_component(spec.n, d, spec.q)
-            for d in range(min(spec.degree, top) + 1)
-        ]
-        cert = is_regular_representation(graded_character(family), spec.n)
-        findings.append(
-            {
-                "kind": "regular-representation",
-                "is_regular": cert.is_regular,
-                "totals": {
-                    ".".join(map(str, ct)): _frac(v) for ct, v in cert.totals
-                },
-            }
-        )
+        chi = graded_character(harms[: top + 1])
+        findings.append(_regular_finding(chi, spec.n))
     for _ in range(3):
         q0 = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
         d = rng.randint(0, spec.degree)
@@ -604,7 +577,7 @@ def run_verify(spec: CommandSpec) -> Report:
                 {
                     "kind": "dimension-jump",
                     "degree": d,
-                    "q0": _frac(q0),
+                    "q0": str(q0),
                     "dim": direct_dim,
                     "generic_dim": generic_dim,
                 }

@@ -65,6 +65,28 @@ def strip_row_gcd(row: SparseIntRow) -> SparseIntRow:
     }
 
 
+def _cancel(row: SparseIntRow, prow: SparseIntRow, col: int) -> SparseIntRow:
+    """Clear the entry of row in the pivot column col of the pivot row prow.
+
+    Cross-multiplies, prow[col] * row - row[col] * prow, and strips the gcd;
+    a row without an entry in col comes back as it is.  Pops col from row.
+    """
+    coef = row.pop(col, None)
+    if coef is None:
+        return row
+    pval = prow[col]
+    new: SparseIntRow = {j: qp_mul(pval, v) for j, v in row.items()}
+    for j, v in prow.items():
+        if j == col:
+            continue
+        acc = qp_sub(new.get(j, ()), qp_mul(coef, v))
+        if acc:
+            new[j] = acc
+        else:
+            new.pop(j, None)
+    return strip_row_gcd(new)
+
+
 def forward_eliminate(
     rows: list[SparseIntRow], ncols: int
 ) -> tuple[list[int], list[SparseIntRow]]:
@@ -81,25 +103,8 @@ def forward_eliminate(
         if pivot_at is None:
             continue
         work[rank], work[pivot_at] = work[pivot_at], work[rank]
-        prow = work[rank]
-        pval = prow[col]
         for i in range(rank + 1, len(work)):
-            row = work[i]
-            coef = row.pop(col, None)
-            if coef is None:
-                continue
-            new: SparseIntRow = {}
-            for j, v in row.items():
-                new[j] = qp_mul(pval, v)
-            for j, v in prow.items():
-                if j == col:
-                    continue
-                acc = qp_sub(new.get(j, ()), qp_mul(coef, v))
-                if acc:
-                    new[j] = acc
-                else:
-                    new.pop(j, None)
-            work[i] = strip_row_gcd(new)
+            work[i] = _cancel(work[i], work[rank], col)
         pivots.append(col)
         rank += 1
     return pivots, [r for r in work[:rank]]
@@ -111,24 +116,8 @@ def reduced_echelon(
     """Reduced row echelon form over Q(q) with unit pivots."""
     pivots, ech = forward_eliminate(rows, ncols)
     for k in range(len(pivots) - 1, -1, -1):
-        col = pivots[k]
-        prow = ech[k]
-        pval = prow[col]
         for i in range(k):
-            row = ech[i]
-            coef = row.pop(col, None)
-            if coef is None:
-                continue
-            new: SparseIntRow = {j: qp_mul(pval, v) for j, v in row.items()}
-            for j, v in prow.items():
-                if j == col:
-                    continue
-                acc = qp_sub(new.get(j, ()), qp_mul(coef, v))
-                if acc:
-                    new[j] = acc
-                else:
-                    new.pop(j, None)
-            ech[i] = strip_row_gcd(new)
+            ech[i] = _cancel(ech[i], ech[k], pivots[k])
     reduced: list[SparseRFRow] = []
     for k, row in enumerate(ech):
         pval = row[pivots[k]]
@@ -185,13 +174,6 @@ class Matrix:
 
     def rank(self) -> int:
         return sparse_rank(self._sparse(), self.cols)
-
-    def rref(self) -> "Matrix":
-        pivots, reduced = reduced_echelon(self._sparse(), self.cols)
-        dense = [
-            [row.get(j, RF_ZERO) for j in range(self.cols)] for row in reduced
-        ]
-        return Matrix(len(dense), self.cols, dense)
 
     def kernel(self) -> list[tuple[RationalFunction, ...]]:
         pivots, reduced = reduced_echelon(self._sparse(), self.cols)

@@ -17,12 +17,10 @@ from .scalars import RF_ONE, RF_ZERO, RationalFunction, _coerce
 Monomial = tuple[int, ...]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     """All exponent vectors of total degree d, in descending lex order."""
+    if d < 0:
+        return []
     if n == 0:
         return [()] if d == 0 else []
     out: list[Monomial] = []
@@ -106,9 +104,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms)
-
-    def leading_coefficient(self) -> RationalFunction:
-        return self.terms[self.leading_monomial()]
 
     def _check(self, other: "Polynomial") -> None:
         if self.n != other.n:

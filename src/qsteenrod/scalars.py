@@ -423,5 +423,3 @@ class QParam:
 
 
 FORMAL = QParam.formal()
-Q_ZERO = QParam.rational(0)
-Q_ONE_PARAM = QParam.rational(1)

@@ -170,7 +170,7 @@ class GradedOperator:
         blocks = []
         for d in range(cap + 1):
             images = slice_images(func, n, d, shift)
-            targets = len(monomials_of_degree(n, d + shift)) if d + shift >= 0 else 0
+            targets = len(monomials_of_degree(n, d + shift))
             block = transpose(images, targets)
             blocks.append(
                 tuple(

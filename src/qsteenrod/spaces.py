@@ -161,16 +161,11 @@ def weighted_complement(v: GradedSubspace, weights=factorial_weight) -> GradedSu
 
 
 @lru_cache(maxsize=None)
-def classical_harm_basis(n: int, d: int) -> GradedSubspace:
-    return harm_component(n, d, QParam.rational(0))
-
-
-@lru_cache(maxsize=None)
 def truncated_hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Span of P_lambda . h over length(lambda) <= n and classical harmonics h."""
     generators: list[Polynomial] = []
     for weight in range(1, d + 1):
-        harmonics = classical_harm_basis(n, d - weight)
+        harmonics = harm_component(n, d - weight, QParam.rational(0))
         if harmonics.dim == 0:
             continue
         for lam in partitions_of(weight, max_length=n):
@@ -183,6 +178,17 @@ def truncated_hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
 def truncated_harm_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Orthogonal complement of the truncated hits under the K! product."""
     return weighted_complement(truncated_hit_component(n, d, q))
+
+
+# The computed graded families: kind -> builder of the degree-d slice at q.
+# Each builder is looked up when called, so a wrapper later bound to its
+# module name (a tracer, a test's monkeypatch) sees every call.
+COMPONENTS = {
+    "harm": lambda n, d, q: harm_component(n, d, q),
+    "hit": lambda n, d, q: hit_component(n, d, q),
+    "tqharm": lambda n, d, q: truncated_harm_component(n, d, q),
+    "tqhit": lambda n, d, q: truncated_hit_component(n, d, q),
+}
 
 
 @dataclass(frozen=True)
@@ -276,15 +282,9 @@ def hilbert_of(kind: str, n: int, cap: int, q: QParam | None = None) -> HilbertS
         return partition_hilbert(cap)
     if q is None:
         raise ValueError(f"kind {kind!r} needs a q parameter")
-    builders = {
-        "harm": harm_component,
-        "hit": hit_component,
-        "tqharm": truncated_harm_component,
-        "tqhit": truncated_hit_component,
-    }
-    if kind not in builders:
+    if kind not in COMPONENTS:
         raise ValueError(f"unknown Hilbert series kind {kind!r}")
-    build = builders[kind]
+    build = COMPONENTS[kind]
     return HilbertSeries(
         tuple(build(n, d, q).dim for d in range(cap + 1)), cap
     )
@@ -326,30 +326,34 @@ class StaircaseReport:
     degrees: tuple[StaircaseDegreeReport, ...]
 
 
-def staircase_report(n: int, cap: int, q: QParam) -> StaircaseReport:
-    """Compare leading monomials of Harm/Hit with the staircase partition.
+def staircase_degree(harm: GradedSubspace, hit: GradedSubspace) -> StaircaseDegreeReport:
+    """Compare the leading monomials of one Harm/Hit slice pair with the staircase.
 
     The per-space inclusions can fail while dimensions still match (leading
     sets of complementary spaces may overlap), so exactness is judged on the
     union over the full degree, not per space.
     """
-    staircase = StaircaseSet(n)
-    rows = []
-    for d in range(cap + 1):
-        harm_lead = frozenset(harm_component(n, d, q).leading_monomials())
-        hit_lead = frozenset(hit_component(n, d, q).leading_monomials())
-        all_monos = set(monomials_of_degree(n, d))
-        stair_d = staircase.of_degree(d)
-        rows.append(
-            StaircaseDegreeReport(
-                degree=d,
-                harm_leading=harm_lead,
-                hit_leading=hit_lead,
-                harm_inside_staircase=harm_lead <= stair_d,
-                hit_inside_complement=hit_lead <= (all_monos - stair_d),
-                disjoint=not (harm_lead & hit_lead),
-                union_exact=(harm_lead | hit_lead) == all_monos
-                and not (harm_lead & hit_lead),
-            )
-        )
-    return StaircaseReport(n, cap, q, tuple(rows))
+    n, d = harm.n, harm.degree
+    harm_lead = frozenset(harm.leading_monomials())
+    hit_lead = frozenset(hit.leading_monomials())
+    all_monos = set(monomials_of_degree(n, d))
+    stair_d = StaircaseSet(n).of_degree(d)
+    return StaircaseDegreeReport(
+        degree=d,
+        harm_leading=harm_lead,
+        hit_leading=hit_lead,
+        harm_inside_staircase=harm_lead <= stair_d,
+        hit_inside_complement=hit_lead <= (all_monos - stair_d),
+        disjoint=not (harm_lead & hit_lead),
+        union_exact=(harm_lead | hit_lead) == all_monos
+        and not (harm_lead & hit_lead),
+    )
+
+
+def staircase_report(n: int, cap: int, q: QParam) -> StaircaseReport:
+    """`staircase_degree` in every degree up to the cap."""
+    rows = tuple(
+        staircase_degree(harm_component(n, d, q), hit_component(n, d, q))
+        for d in range(cap + 1)
+    )
+    return StaircaseReport(n, cap, q, rows)

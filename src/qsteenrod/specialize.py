@@ -5,15 +5,16 @@ of the gcd of the maximal minors of an integer-polynomial matrix.  That gcd
 (the top determinantal divisor) is computed by unimodular diagonalization
 over Q[q] rather than minor enumeration; scaling rows or columns by nonzero
 integers along the way only changes it by a unit, so the primitive part is
-exact.  Rational roots come from the rational root theorem on the primitive
-gcd; remaining factors are split into irreducibles.
+exact.  The rational roots come from the linear factors of the gcd over Z;
+the remaining factors are split into irreducibles.  A root is a bad value
+only if the harmonic space there is larger than the generic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import PoleError
@@ -42,7 +43,12 @@ from .scalars import (
     qp_sub,
     qp_trim,
 )
-from .spaces import GradedSubspace, down_constraint_rows, harm_component
+from .spaces import (
+    GradedSubspace,
+    down_constraint_rows,
+    harm_component,
+    harm_generator_degrees,
+)
 
 
 def specialize_poly(p: Polynomial, q0: Fraction) -> Polynomial:
@@ -167,7 +173,7 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
                     qp_sub(qp_scale(v, scale), qp_mul(quot, matrix[0][j]))
                     for j, v in enumerate(matrix[i])
                 ]
-                matrix[i] = _strip_int_content(matrix[i])
+                matrix[i] = _content_free(matrix[i])
                 if matrix[i][0]:
                     dirty = True
             for j in range(1, len(matrix[0])):
@@ -177,7 +183,9 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
                 quot, scale = _pseudo_quotient(entry, pivot)
                 for row in matrix:
                     row[j] = qp_sub(qp_scale(row[j], scale), qp_mul(quot, row[0]))
-                _strip_column_content(matrix, j)
+                column = _content_free([row[j] for row in matrix])
+                for row, value in zip(matrix, column):
+                    row[j] = value
                 if matrix[0][j]:
                     dirty = True
             if not dirty:
@@ -212,103 +220,37 @@ def _pseudo_quotient(entry: IntPoly, pivot: IntPoly) -> tuple[IntPoly, int]:
     return qp_trim(tuple(quot)), scale
 
 
-def _strip_int_content(row: list[IntPoly]) -> list[IntPoly]:
-    import math
-
+def _content_free(values: list[IntPoly]) -> list[IntPoly]:
+    """Divide the polynomials by the gcd of all their integer coefficients."""
     g = 0
-    for v in row:
-        g = math.gcd(g, qp_content(v))
+    for v in values:
+        g = gcd(g, qp_content(v))
         if g == 1:
-            return row
+            return values
     if g <= 1:
-        return row
-    return [tuple(c // g for c in v) for v in row]
-
-
-def _strip_column_content(matrix: list[list[IntPoly]], j: int) -> None:
-    import math
-
-    g = 0
-    for row in matrix:
-        g = math.gcd(g, qp_content(row[j]))
-        if g == 1:
-            return
-    if g <= 1:
-        return
-    for row in matrix:
-        row[j] = tuple(c // g for c in row[j])
+        return values
+    return [tuple(c // g for c in v) for v in values]
 
 
 def rational_roots(p: IntPoly) -> tuple[list[Fraction], IntPoly]:
     """All rational roots of p (as a set) and the rootless cofactor.
 
-    Linear factors are divided out with multiplicity; the cofactor is
-    primitive with positive leading coefficient and no rational roots.
+    The roots are -a/b over the linear factors b*q + a of p over Z; the
+    cofactor is the product of the other factors with multiplicity, primitive
+    with positive leading coefficient and without rational roots.
     """
     if not p:
         raise ValueError("the zero polynomial vanishes everywhere")
-    work = qp_primitive(p)
-    if work[-1] < 0:
-        work = qp_neg(work)
     roots: set[Fraction] = set()
-    # factor out powers of q
-    while len(work) > 1 and work[0] == 0:
-        roots.add(Fraction(0))
-        work = work[1:]
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        lead, const = work[-1], work[0]
-        for a in _divisors(abs(const)):
-            for b in _divisors(abs(lead)):
-                for root in (Fraction(a, b), Fraction(-a, b)):
-                    if qp_eval(work, root) == 0:
-                        roots.add(root)
-                        factor = (-root.numerator, root.denominator)
-                        work = qp_primitive(qp_div_exact_q(work, factor))
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    if work[-1] < 0:
-        work = qp_neg(work)
-    return sorted(roots), qp_primitive(work)
-
-
-def qp_div_exact_q(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact division valid over Q[q] (input must be divisible over Q)."""
-    da, db = qp_degree(a), qp_degree(b)
-    rem = [Fraction(c) for c in a]
-    quot = [Fraction(0)] * (da - db + 1)
-    lb = b[-1]
-    for i in range(da, db - 1, -1):
-        c = rem[i]
-        if c:
-            f = c / lb
-            quot[i - db] = f
-            for j in range(db + 1):
-                rem[i - db + j] -= f * b[j]
-    if any(rem[:db]):
-        raise ArithmeticError("inexact division over Q[q]")
-    denom = lcm(*(f.denominator for f in quot))
-    scaled = [int(f * denom) for f in quot]
-    out = qp_primitive(qp_trim(tuple(scaled)))
-    return out
-
-
-def _divisors(value: int) -> list[int]:
-    """Positive divisors, via prime factorization so big inputs stay cheap."""
-    if value == 0:
-        return [1]
-    import sympy
-
-    primes = sympy.factorint(abs(value))
-    out = [1]
-    for p, e in primes.items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
+    cofactor = QP_ONE
+    for factor in factor_over_z(p):
+        if len(factor) == 2:
+            roots.add(Fraction(-factor[0], factor[1]))
+        else:
+            cofactor = qp_mul(cofactor, factor)
+    if cofactor[-1] < 0:
+        cofactor = qp_neg(cofactor)
+    return sorted(roots), cofactor
 
 
 def factor_over_z(p: IntPoly) -> list[IntPoly]:
@@ -317,12 +259,12 @@ def factor_over_z(p: IntPoly) -> list[IntPoly]:
         return []
     import sympy
 
-    x = sympy.Symbol("q")
-    expr = sum(c * x**i for i, c in enumerate(p))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x))
+    # a Poly built from the coefficient list, not from a symbolic sum: the
+    # expression machinery costs about 2 MB of peak memory per process
+    _, factors = sympy.Poly(p[::-1], sympy.Symbol("q")).factor_list()
     out = []
     for base, multiplicity in factors:
-        coeffs = [int(c) for c in sympy.Poly(base, x).all_coeffs()][::-1]
+        coeffs = [int(c) for c in base.all_coeffs()][::-1]
         factor = qp_primitive(qp_trim(tuple(coeffs)))
         if len(factor) > 1:
             out.extend([factor] * multiplicity)
@@ -338,7 +280,7 @@ class BadQReport:
     generic_rank: int
     generic_harm_dim: int
     minor_gcd: IntPoly
-    rational_roots: tuple[Fraction, ...]
+    rational_roots: tuple[Fraction, ...]  # the roots of the gcd that are jumps
     nonrational_factors: tuple[IntPoly, ...]
     jumps: tuple[tuple[Fraction, int], ...]  # (root, harmonic dim at root)
 
@@ -387,9 +329,11 @@ def bad_q_candidates(
 
     Builds the integer matrix of the stacked down-operator constraints
     (degrees 1 and 2; all degrees up to d with the paranoia flag), takes the
-    gcd of its maximal minors, and extracts the rational roots.  Every
-    reported root is verified to drop the rank; the accompanying jumps list
-    records the harmonic dimension at each root.
+    gcd of its maximal minors, and extracts the rational roots.  Every root
+    is verified to drop the rank of the stack.  The harmonic dimension at a
+    root is counted with the generators it needs there (harm_generator_degrees,
+    D_1..D_n at q = 0), which the stack may lack; only roots where that
+    dimension exceeds the generic one are reported, with it, as jumps.
     """
     if d < 1:
         raise ValueError("degree must be positive")
@@ -410,14 +354,19 @@ def bad_q_candidates(
             raise AssertionError(
                 f"root {root} of the minor gcd did not drop the rank"
             )
-        jumps.append((root, ncols - dropped))
+        extra = [k for k in harm_generator_degrees(n, QParam(root)) if k not in degrees]
+        if extra:
+            specialized += evaluate_rows(harmonic_constraint_rows(n, d, extra)[0], root)
+            dropped = sparse_rank(specialized, ncols)
+        if dropped < rank:
+            jumps.append((root, ncols - dropped))
     return BadQReport(
         n=n,
         degree=d,
         generic_rank=rank,
         generic_harm_dim=ncols - rank,
         minor_gcd=gcd,
-        rational_roots=tuple(roots),
+        rational_roots=tuple(root for root, _ in jumps),
         nonrational_factors=tuple(factor_over_z(cofactor)),
         jumps=tuple(jumps),
     )

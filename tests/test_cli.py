@@ -142,6 +142,53 @@ def test_cached_cli_run_identical(tmp_path, capsys):
     assert first == second
 
 
+def _count_slice_calls(monkeypatch):
+    """Count harm_component and hit_component calls through every binding,
+    leaving out those made inside specialized_dimension."""
+    import qsteenrod
+    from qsteenrod import cli, spaces, specialize
+
+    calls, depth = [], [0]
+    originals = {name: getattr(spaces, name) for name in ("harm_component", "hit_component")}
+
+    def counting(name):
+        def wrapper(n, d, q, *rest):
+            if not depth[0]:
+                calls.append((name, n, d, str(q)))
+            return originals[name](n, d, q, *rest)
+        return wrapper
+
+    def guarded(*args):
+        depth[0] += 1
+        try:
+            return specialize.specialized_dimension(*args)
+        finally:
+            depth[0] -= 1
+
+    for module in (qsteenrod, cli, spaces, specialize):
+        for name in originals:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name))
+    monkeypatch.setattr(cli, "specialized_dimension", guarded)
+    return calls
+
+
+@pytest.mark.parametrize("line", ["verify -n 3 -d 4", "verify -n 2 -d 3 -q -2/3",
+                                  "character -n 3 -d 3"])
+def test_warm_cache_builds_no_slice(line, tmp_path, capsys, monkeypatch):
+    argv = line.split() + ["--format", "json", "--cache-dir", str(tmp_path / "warm")]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    calls = _count_slice_calls(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert calls == []
+    # the counter sees the slices a cold run builds
+    argv[argv.index("--cache-dir") + 1] = str(tmp_path / "cold")
+    assert main(argv) == 0
+    assert calls
+
+
 def test_input_error_exit_code(capsys):
     assert main(["harm", "-q", "not-a-number"]) == 2
     err = capsys.readouterr().err

@@ -77,3 +77,9 @@ def test_permute_variables_is_a_left_action():
 def test_extended_keeps_terms():
     p = x(2, 1) * x(2, 2)
     assert p.extended(4) == x(4, 1) * x(4, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_no_monomials_of_negative_degree(n):
+    assert monomials_of_degree(n, -1) == []
+    assert monomials_of_degree(n, -3) == []

@@ -109,6 +109,23 @@ def test_rational_roots():
     assert roots == [] and cofactor == qp(1, 0, 1)
 
 
+def test_rational_roots_of_random_products():
+    # differential check: the roots are exactly the linear factors multiplied
+    # in, and the cofactor is the product of the rootless ones
+    rng = random.Random(11)
+    rootless = [qp(1, 0, 1), qp(2, 0, 1), qp(-2, 0, 0, 1), qp(1, 1, 1)]
+    for _ in range(12):
+        p, roots, cofactor = qp(rng.choice([-6, -1, 1, 4])), set(), qp(1)
+        for _ in range(rng.randint(0, 4)):
+            b, a = rng.randint(1, 6), rng.randint(-7, 7)
+            p = qp_mul(p, qp(a, b))
+            roots.add(Fraction(-a, b))
+        for _ in range(rng.randint(0, 2)):
+            factor = rng.choice(rootless)
+            p, cofactor = qp_mul(p, factor), qp_mul(cofactor, factor)
+        assert rational_roots(p) == (sorted(roots), cofactor)
+
+
 def test_factor_over_z():
     got = factor_over_z(qp_mul(qp(1, 0, 1), qp(2, 0, 1)))
     assert got == [qp(1, 0, 1), qp(2, 0, 1)]
@@ -251,8 +268,10 @@ def test_conjectured_root_form():
 def test_extended_generator_flag():
     lean = bad_q_candidates(3, 3)
     full = bad_q_candidates(3, 3, extended_generators=True)
-    # with all generators the q = 0 artifact disappears
-    assert Fraction(0) in lean.rational_roots
+    # D_1 and D_2 drop rank at q = 0, but the harmonics there are cut out by
+    # D_1..D_3 and keep the generic dimension, so q = 0 is no bad value
+    assert qp_eval(lean.minor_gcd, Fraction(0)) == 0
+    assert Fraction(0) not in lean.rational_roots
     assert Fraction(0) not in full.rational_roots
     for root in full.rational_roots:
         assert root in lean.rational_roots
@@ -268,3 +287,17 @@ def test_constraint_rows_keep_their_content():
     rank, gcd = minor_gcd(rows, ncols)
     assert rank == 3 and qp_eval(gcd, Fraction(-1)) == 0
     assert sparse_rank(evaluate_rows(rows, Fraction(-1)), ncols) < rank
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4)])
+def test_q0_is_no_bad_value_with_two_generators(n, d):
+    # the stack D_1, D_2 drops rank at q = 0, where the harmonics need
+    # D_1..D_n and keep the generic dimension
+    report = bad_q_candidates(n, d)
+    assert qp_eval(report.minor_gcd, Fraction(0)) == 0
+    assert Fraction(0) not in report.rational_roots
+    assert harm_component(n, d, QParam(Fraction(0))).dim == report.generic_harm_dim
+    assert [root for root, _ in report.jumps] == list(report.rational_roots)
+    for root, dim_at_root in report.jumps:
+        assert dim_at_root == harm_component(n, d, QParam(root)).dim
+        assert dim_at_root > report.generic_harm_dim
