@@ -3,6 +3,10 @@
 Elimination is fraction-free: rows are cleared to integer polynomials in q,
 combined by cross-multiplication, and stripped of their common polynomial
 factor after every update, so intermediate entries never hold fractions.
+The common factor of a row costs one integer gcd of its entries evaluated
+at a large point, read back as a polynomial and kept only if it divides
+every entry exactly; that division yields the stripped row
+(``scalars.qp_common_factor``).
 Pivoting is deterministic (leftmost nonzero column, first row wins), which
 makes reduced echelon forms canonical and reproducible.
 """
@@ -20,8 +24,8 @@ from .scalars import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
+    qp_common_factor,
     qp_div_exact,
-    qp_gcd,
     qp_lcm,
     qp_mul,
     qp_neg,
@@ -48,21 +52,13 @@ def strip_row_gcd(row: SparseIntRow) -> SparseIntRow:
     """Divide a row by the gcd of its entries (sign fixed by first column)."""
     if not row:
         return row
-    g: IntPoly = ()
-    for value in row.values():
-        g = qp_gcd(g, value)
-        if g == QP_ONE:
-            break
-    first = row[min(row)]
-    negate = first[-1] < 0
-    if g == QP_ONE:
-        if not negate:
-            return row
-        return {c: qp_neg(v) for c, v in row.items()}
-    return {
-        c: (qp_neg(qp_div_exact(v, g)) if negate else qp_div_exact(v, g))
-        for c, v in row.items()
-    }
+    g, quotients = qp_common_factor(list(row.values()))
+    negate = row[min(row)][-1] < 0
+    if g == QP_ONE and not negate:
+        return row
+    if negate:
+        quotients = [qp_neg(v) for v in quotients]
+    return dict(zip(row, quotients))
 
 
 def _cancel(row: SparseIntRow, prow: SparseIntRow, col: int) -> SparseIntRow:

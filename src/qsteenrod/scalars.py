@@ -6,6 +6,13 @@ form, so equality is structural and all computations are exact.  The
 deformation parameter itself is described by :class:`QParam`, which is either
 formal (work in Q(q)) or a fixed rational number (work in Q, embedded as the
 constant rational functions).
+
+Gcds in Z[q] (:func:`qp_common_factor`, and through it :func:`qp_gcd`,
+:func:`qp_lcm` and the canonical form) take the integer content from one
+integer gcd of all coefficients and the rest from one integer gcd of the
+values at a large point, read back as a polynomial and verified by exact
+division; a primitive-PRS fold is kept for the rare candidate that keeps
+failing that check.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import PoleError, ZeroDenominatorError
 
@@ -163,8 +171,8 @@ def qp_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return qp_trim(tuple(rem))
 
 
-def qp_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Gcd in Z[q], primitive-PRS, normalized to positive leading coefficient."""
+def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Gcd of two polynomials by the primitive PRS, positive leading coefficient."""
     if not a:
         return b if not b or b[-1] > 0 else qp_neg(b)
     if not b:
@@ -185,10 +193,116 @@ def qp_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return qp_scale(g, c)
 
 
+def _prs_fold(values: Sequence[IntPoly]) -> IntPoly:
+    """Gcd of many polynomials as a left fold of the pairwise PRS gcd."""
+    g = QP_ZERO
+    for value in values:
+        g = _prs_gcd(g, value)
+        if g == QP_ONE:
+            break
+    return g
+
+
+def _symmetric_digits(gamma: int, xi: int) -> IntPoly:
+    """The polynomial whose value at xi is gamma, digits in (-xi/2, xi/2].
+
+    For gamma > 0 the leading digit is positive.
+    """
+    digits = []
+    half = xi // 2
+    while gamma:
+        d = gamma % xi
+        if d > half:
+            d -= xi
+        digits.append(d)
+        gamma = (gamma - d) // xi
+    return tuple(digits)
+
+
+# Tries of the heuristic gcd before the PRS fold takes over, and the factor
+# the evaluation point grows by between tries (an irrational-looking ratio,
+# so successive points share no obvious arithmetic structure).
+_HEU_TRIES = 6
+_XI_GROWTH = (73794, 27011)
+
+
+def _heuristic_quotients(
+    prims: Sequence[IntPoly], xi: int
+) -> tuple[IntPoly, list[IntPoly]] | None:
+    """One try of the heuristic gcd at the point xi; None if it is rejected.
+
+    The integer gcd of the values at xi is read back as a polynomial from its
+    symmetric xi-adic digits, G; its primitive part h is the candidate.  The
+    integer gcd is positive, since the entry of least norm has no root as
+    large as xi, so h has a positive leading coefficient.  It stands only if
+    it divides every entry exactly, and then it is their gcd whenever
+    xi >= 2 * min |entry|_inf + 2 (Char, Geddes and Gonnet): were the gcd
+    h * k with k not constant, k would divide the entry of least norm, so
+    |k(xi)| > xi / 2 by the Cauchy bound on its roots, and k(xi) would
+    divide the content of G, whose digits are at most xi / 2 in size.
+    """
+    values = []
+    for p in prims:
+        acc = 0
+        for c in reversed(p):
+            acc = acc * xi + c
+        values.append(acc)
+    h = qp_primitive(_symmetric_digits(math.gcd(*values), xi))
+    try:
+        return h, [qp_div_exact(p, h) for p in prims]
+    except ArithmeticError:
+        return None
+
+
+def qp_common_factor(
+    values: Sequence[IntPoly],
+) -> tuple[IntPoly, list[IntPoly]]:
+    """Gcd of polynomials in Z[q] and the exact quotient of each by it.
+
+    The gcd g has positive leading coefficient and includes the integer
+    content, the same polynomial as folding qp_gcd over the values, and
+    quotients[i] * g == values[i].  The gcd of no nonzero value is 0; the
+    quotients are then the values themselves.
+
+    The content comes from one integer gcd of all coefficients, and a
+    constant entry makes it the whole gcd.  Otherwise the gcd is one integer
+    gcd of the content-free entries evaluated at a large point, verified by
+    dividing every entry by it (heuristic gcd, Char, Geddes and Gonnet 1989);
+    a rejected candidate is retried at a larger point, and after a few
+    rejections the primitive-PRS fold decides.
+    """
+    # Unpack a list, not an iterator: on CPython 3.11 star-unpacking a chain
+    # iterator here left about 1.4 MB of argument tuples alive.
+    c = math.gcd(*[x for p in values for x in p])
+    if not c:
+        return QP_ZERO, list(values)
+    prims = list(values) if c == 1 else [tuple(v // c for v in p) for p in values]
+    if any(len(p) == 1 for p in prims):
+        return (c,), prims
+    xi = 2 * min(max(map(abs, p)) for p in prims if p) + 2
+    for _ in range(_HEU_TRIES):
+        found = _heuristic_quotients(prims, xi)
+        if found is not None:
+            h, quotients = found
+            return qp_scale(h, c), quotients
+        xi = xi * _XI_GROWTH[0] // _XI_GROWTH[1]
+    g = _prs_fold(values)
+    return g, [qp_div_exact(v, g) for v in values]
+
+
+def qp_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Gcd in Z[q] with positive leading coefficient (see qp_common_factor).
+
+    The gcd with 0 is the other argument made positive; gcd(0, 0) = 0.
+    """
+    return qp_common_factor((a, b))[0]
+
+
 def qp_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return QP_ZERO
-    return qp_div_exact(qp_mul(a, b), qp_gcd(a, b))
+    _, (_, b_over_gcd) = qp_common_factor((a, b))
+    return qp_mul(a, b_over_gcd)
 
 
 def qp_str(a: IntPoly, var: str = "q") -> str:
@@ -246,10 +360,7 @@ class RationalFunction:
             return RF_ZERO
         if den == QP_ONE:
             return RationalFunction(num, QP_ONE)
-        g = qp_gcd(num, den)
-        if g != QP_ONE:
-            num = qp_div_exact(num, g)
-            den = qp_div_exact(den, g)
+        num, den = qp_common_factor((num, den))[1]
         if den[-1] < 0:
             num, den = qp_neg(num), qp_neg(den)
         return RationalFunction(num, den)

@@ -260,6 +260,16 @@ def commutant_search(
     def unknown(d: int, r: int, c: int) -> int:
         return offsets[d] + r * dims[d] + c
 
+    # Matrices of the generators on each slice; with H = G the same matrix
+    # serves as G on degree d - 1 and as H on that degree one step earlier.
+    images: dict[tuple[int, int], list[SparseRFRow]] = {}
+
+    def on_slice(op: WeylElement, d: int) -> list[SparseRFRow]:
+        key = (id(op), d)
+        if key not in images:
+            images[key] = slice_images(partial(weyl_apply, op), n, d, op.grading())
+        return images[key]
+
     equations: list[SparseRFRow] = []
     for gen, right in zip(gens, rights):
         k = gen.grading()
@@ -267,8 +277,8 @@ def commutant_search(
             if d + k > cap:
                 continue
             # G on degree d - 1 (nothing when d = 0) and H on degree d
-            left_images = slice_images(partial(weyl_apply, gen), n, d - 1, k)
-            right_images = slice_images(partial(weyl_apply, right), n, d, k)
+            left_images = on_slice(gen, d - 1)
+            right_images = on_slice(right, d)
             # for each source monomial of degree d and each target monomial of
             # degree d + k - 1: (G T - T H) entry must vanish
             for j in range(dims[d]):

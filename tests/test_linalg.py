@@ -1,5 +1,6 @@
 """Exact elimination: echelon forms, kernels, weighted complements, slices."""
 
+import hashlib
 import random
 from functools import partial
 
@@ -10,13 +11,16 @@ from qsteenrod.errors import InhomogeneousError, InvalidWeightError
 from qsteenrod.linalg import (
     Matrix,
     echelonize,
+    forward_eliminate,
     kernel,
+    rf_rows_to_int,
     slice_images,
     transpose,
     weighted_complement,
 )
 from qsteenrod.polynomials import Polynomial, factorial_weight, monomials_of_degree
-from qsteenrod.scalars import QParam, RF_ONE, RF_Q, RF_ZERO, rf_normalize
+from qsteenrod.scalars import FORMAL, QParam, RF_ONE, RF_Q, RF_ZERO, rf_normalize
+from qsteenrod.spaces import down_constraint_rows
 from qsteenrod.steenrod import dual_pk, make_pk
 from qsteenrod.weyl import weyl_apply
 
@@ -193,3 +197,22 @@ def test_down_operator_is_factorial_adjoint_on_every_slice(q):
                         lhs = up[a].get(b, RF_ZERO) * factorial_weight(mb)
                         rhs = down[b].get(a, RF_ZERO) * factorial_weight(ma)
                         assert lhs == rhs
+
+
+# sha256 of repr((pivots, rows)) of forward_eliminate on the stacked D_1..D_4
+# rows of the degree-5 slice in 4 variables, computed with the primitive-PRS
+# fold as the row gcd: however the gcd is found, every row of the echelon
+# form, entry order included, must stay the same, not only the reports.
+ELIMINATION_DIGESTS = {
+    FORMAL: "9b610e2e71fcd0403f58baf101047714791ae19d544af096cbabf5e352dc0268",
+    QParam.rational(-2, 3): "b3de82caa10311c69c4ac5a224ba311867314c9a22178f97b3c53f3651472319",
+}
+
+
+@pytest.mark.parametrize("q", list(ELIMINATION_DIGESTS), ids=str)
+def test_forward_eliminate_rows_pinned(q):
+    rows = rf_rows_to_int(down_constraint_rows(4, 5, q, (1, 2, 3, 4)))
+    out = forward_eliminate(rows, len(monomials_of_degree(4, 5)))
+    assert len(out[0]) == 53
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == ELIMINATION_DIGESTS[q]

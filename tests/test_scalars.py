@@ -5,14 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsteenrod import scalars
 from qsteenrod.errors import PoleError, ZeroDenominatorError
 from qsteenrod.scalars import (
     QParam,
     RF_ONE,
     RF_Q,
     RF_ZERO,
+    _prs_fold,
+    _prs_gcd,
     qp,
+    qp_common_factor,
     qp_gcd,
+    qp_lcm,
+    qp_mul,
     rf_normalize,
 )
 
@@ -66,6 +72,88 @@ def rf_strategy():
         small_polys,
         small_polys.filter(lambda c: any(c)),
     )
+
+
+# Coefficients small (with many zeros, so interior zero coefficients are
+# common), or of up to 80 bits; either sign, so leading coefficients can be
+# negative.  A polynomial of one coefficient is a constant.
+coefficients = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**80), 2**80)
+)
+polys = st.lists(coefficients, min_size=0, max_size=6).map(lambda c: qp(*c))
+planted_rows = st.tuples(
+    polys.filter(bool), st.lists(polys, min_size=1, max_size=10)
+).map(lambda fc: [qp_mul(fc[0], c) for c in fc[1]])
+
+
+def assert_common_factor(values):
+    g, quotients = qp_common_factor(values)
+    assert g == _prs_fold(values)
+    assert len(quotients) == len(values)
+    if g:
+        assert all(qp_mul(f, g) == v for f, v in zip(quotients, values))
+    else:
+        assert quotients == list(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_rows)
+def test_common_factor_matches_prs_fold(values):
+    assert_common_factor(values)
+    a, b = values[0], values[-1]
+    assert qp_gcd(a, b) == _prs_gcd(a, b)
+    assert qp_gcd(b, a) == _prs_gcd(a, b)
+
+
+def test_common_factor_edge_cases():
+    for values in (
+        [()],
+        [(), ()],
+        [(), (-3,)],
+        [(-6,), (4, 2)],
+        [(0, 0, -4), (0, 2)],
+        [(-1, 0, 1), (-1, 1)],
+        [qp(2**80, 0, -(2**80)), qp(0, 2**81, 2**81)],
+    ):
+        assert_common_factor(values)
+    assert qp_gcd((), ()) == ()
+    assert qp_gcd((), (-2, -4)) == (2, 4)
+    assert qp_lcm((-1, 0, 1), (1, 1)) == (-1, 0, 1)
+
+
+def test_rejected_heuristic_falls_back_to_prs(monkeypatch):
+    # q^50 divides no entry, so every try is rejected
+    tries = []
+
+    def reject(gamma, xi):
+        tries.append(xi)
+        return (0,) * 50 + (1,)
+
+    monkeypatch.setattr(scalars, "_symmetric_digits", reject)
+    values = [
+        qp_mul((1, 1), (3, 0, -2)),
+        qp_mul((1, 1), (5, 7)),
+        qp_mul((1, 1), (0, 4, 0, 1)),
+    ]
+    assert qp_common_factor(values)[0] == (1, 1)
+    assert len(tries) == scalars._HEU_TRIES
+    assert tries == sorted(set(tries))  # each try at a larger point
+    assert_common_factor(values)
+
+
+def test_rejected_candidate_is_retried(monkeypatch):
+    # the first candidate, q + 2, divides no entry; the second try is genuine
+    real = scalars._symmetric_digits
+    tries = []
+
+    def first_wrong(gamma, xi):
+        tries.append(xi)
+        return (2, 1) if len(tries) == 1 else real(gamma, xi)
+
+    monkeypatch.setattr(scalars, "_symmetric_digits", first_wrong)
+    values = [qp_mul((-1, 3), (3, 0, -2)), qp_mul((-1, 3), (5, 7))]
+    assert qp_common_factor(values)[0] == (-1, 3)
+    assert len(tries) == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qsteenrod import schubert
 from qsteenrod.errors import NonReducedWordError
 from qsteenrod.linalg import echelonize
 from qsteenrod.polynomials import Polynomial, monomials_of_degree
@@ -186,3 +187,18 @@ def test_graded_operator_apply():
     op = d_sigma((1,), 2, 3)
     assert op.apply(x(2, 1) ** 2) == x(2, 1) + x(2, 2)
     assert op.apply(x(2, 1) * x(2, 2)).is_zero()
+
+
+def test_commutant_applies_each_generator_once_per_monomial(monkeypatch):
+    # With H = G, the matrix of G on a slice serves as the left factor on that
+    # degree and as the right factor one step earlier; it is built once.
+    calls = []
+    real = schubert.weyl_apply
+
+    def counting(op, p):
+        calls.append((id(op), tuple(p.terms)))
+        return real(op, p)
+
+    monkeypatch.setattr(schubert, "weyl_apply", counting)
+    commutant_search(2, 6, QParam.rational(0))
+    assert len(calls) == len(set(calls)) == 36
