@@ -5,7 +5,11 @@ of the gcd of the maximal minors of an integer-polynomial matrix.  That gcd
 (the top determinantal divisor) is computed by unimodular diagonalization
 over Q[q] rather than minor enumeration; scaling rows or columns by nonzero
 integers along the way only changes it by a unit, so the primitive part is
-exact.  The rational roots come from the linear factors of the gcd over Z;
+exact.  Each pivot is the entry of least q-degree, then fewest coefficient
+bits, then least Markowitz fill-in count; the pivot order decides only how
+large the intermediate entries grow, never the result, because every order
+is a unimodular diagonalization with the same determinantal divisors.
+The rational roots come from the linear factors of the gcd over Z;
 the remaining factors are split into irreducibles.  A root is a bad value
 only if the harmonic space there is larger than the generic one.
 """
@@ -127,17 +131,28 @@ def _swap_to_front(matrix: list[list[IntPoly]], r: int, c: int) -> None:
         row[0], row[c] = row[c], row[0]
 
 
-def _min_degree_entry(matrix: list[list[IntPoly]]) -> tuple[int, int] | None:
+def _pivot(matrix: list[list[IntPoly]]) -> tuple[int, int] | None:
+    """The nonzero entry of least (q-degree, bits, Markowitz count), or None.
+
+    Bits are the bit length of the entry's largest coefficient; the
+    Markowitz count (row nonzeros - 1) * (column nonzeros - 1) bounds the
+    fill-in its elimination can cause.  Ties go to the first such entry in
+    row-major order.
+    """
+    row_counts = [sum(1 for v in row if v) for row in matrix]
+    col_counts = [sum(1 for row in matrix if row[j]) for j in range(len(matrix[0]))]
     best = None
-    best_deg = None
+    best_key = None
     for i, row in enumerate(matrix):
         for j, value in enumerate(row):
             if value:
-                d = qp_degree(value)
-                if best_deg is None or d < best_deg:
-                    best, best_deg = (i, j), d
-                    if d == 0:
-                        return best
+                key = (
+                    len(value),  # q-degree + 1
+                    max(abs(c) for c in value).bit_length(),
+                    (row_counts[i] - 1) * (col_counts[j] - 1),
+                )
+                if best_key is None or key < best_key:
+                    best, best_key = (i, j), key
     return best
 
 
@@ -149,6 +164,12 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
     the resulting diagonal entries is the top determinantal divisor up to a
     rational unit, reported as a primitive integer polynomial with positive
     leading coefficient.
+
+    Pivots come from _pivot (least q-degree, then coefficient bits, then
+    Markowitz count).  Determinantal divisors are invariant under unimodular
+    operations, so any pivot order gives the same rank and primitive gcd;
+    the rule only keeps the entries small and the banded constraint stacks
+    sparse.
     """
     matrix = [
         [row.get(j, ()) for j in range(ncols)] for row in rows if row
@@ -156,7 +177,7 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
     product: IntPoly = QP_ONE
     rank = 0
     while matrix and matrix[0]:
-        spot = _min_degree_entry(matrix)
+        spot = _pivot(matrix)
         if spot is None:
             break
         _swap_to_front(matrix, *spot)
@@ -190,7 +211,7 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
                     dirty = True
             if not dirty:
                 break
-            nxt = _min_degree_entry(matrix)
+            nxt = _pivot(matrix)
             _swap_to_front(matrix, *nxt)
         product = qp_primitive(qp_mul(product, matrix[0][0]))
         rank += 1

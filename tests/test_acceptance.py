@@ -499,3 +499,26 @@ def test_criterion_18_cli(tmp_path, capsys):
             again = cache_roundtrip(space, str(tmp_path / "cache"))
             second = json.dumps(serialize_subspace(again), sort_keys=True)
             assert first == second
+
+
+# gcd of the maximal minors of the D_1, D_2 stack for n = 3, d = 7, as the
+# minimum-degree pivot rule computed it (91 s): 72 q^2 + ... + 16807 q^7
+BADQ_3_7_GCD = (0, 0, 72, 1092, 6566, 19551, 28812, 16807)
+
+
+def test_criterion_19_badq_reach():
+    with criterion(19, "bad-q reach: n = 3 d = 7..10, n = 4 d = 6", 60.0):
+        for n, d in [(3, 7), (3, 8), (3, 9), (3, 10), (4, 6)]:
+            report = bad_q_candidates(n, d)
+            if (n, d) == (3, 7):
+                assert report.minor_gcd == BADQ_3_7_GCD
+            assert report.jumps
+            for root, dim_at_root in report.jumps:
+                assert qp_eval(report.minor_gcd, root) == 0
+                assert dim_at_root == harm_component(n, d, QParam(root)).dim
+                assert dim_at_root > report.generic_harm_dim
+                if not conjectured_root_form(root, n)["a_in_1_to_n"]:
+                    print(
+                        f"  [FINDING] bad-q form deviation: n={n} d={d} "
+                        f"root={root} is not -a/b with a in 1..{n}"
+                    )

@@ -278,6 +278,10 @@ PINNED_REPORTS = [
      "395512a79cb30cb7d541dc2c0a4494e4aca46ac2a93480b3ca6d6b0dfb123d50"),
     ("badq -n 3 -d 4 --all-generators",
      "79decad700e6d3d53b92abd78af41f6716590b84bc9f4d47903e6b7f72f0984c"),
+    ("badq -n 2 -d 26",
+     "bbdb0587f1067a179f953b47cb887281f8abfc2428036015b39f4fd5a887768f"),
+    ("badq -n 3 -d 8 --all-generators",
+     "b1fa6b217585c70b95b6d0f59cc5aba1cdbd3b1c061137bc3236afb7839f1309"),
     ("commutant -n 2 -d 4 -q 0",
      "e3eda53e4390ad492db37809cacb452ee1274c0c5d26f0e8c60de441f4f377a8"),
     ("commutant -n 3 -d 3 -q 1",

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsteenrod.errors import PoleError
 from qsteenrod.linalg import Matrix, sparse_rank
@@ -12,13 +13,18 @@ from qsteenrod.polynomials import Polynomial, monomials_of_degree, scalar_produc
 from qsteenrod.scalars import (
     IntPoly,
     QParam,
+    QP_ONE,
     RF_ONE,
     RF_Q,
     qp,
+    qp_add,
+    qp_div_exact,
     qp_eval,
     qp_gcd,
     qp_mul,
+    qp_neg,
     qp_primitive,
+    qp_sub,
 )
 from qsteenrod.spaces import GradedSubspace, harm_component
 from qsteenrod.specialize import (
@@ -139,8 +145,6 @@ def _dense_to_sparse(rows):
 
 
 def _brute_minor_gcd(rows: list[list[IntPoly]], rank: int) -> IntPoly:
-    from qsteenrod.scalars import QP_ONE
-
     nrows, ncols = len(rows), len(rows[0])
     acc: IntPoly = ()
     for rsel in combinations(range(nrows), rank):
@@ -153,25 +157,22 @@ def _brute_minor_gcd(rows: list[list[IntPoly]], rank: int) -> IntPoly:
 
 
 def _poly_det(m):
-    from qsteenrod.scalars import qp_sub
-
-    if len(m) == 1:
-        return m[0][0]
-    out: IntPoly = ()
-    for j, top in enumerate(m[0]):
-        if not top:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = qp_mul(top, _poly_det(minor))
-        out = qp_sub(out, term) if j % 2 else (
-            tuple(a + b for a, b in _pad(out, term))
-        )
-    return _trimmed(out)
-
-
-def _pad(a, b):
-    length = max(len(a), len(b))
-    return zip(a + (0,) * (length - len(a)), b + (0,) * (length - len(b)))
+    """Determinant over Z[q] by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in m]
+    size, sign, prev = len(m), 1, QP_ONE
+    for k in range(size):
+        swap = next((i for i in range(k, size) if m[i][k]), None)
+        if swap is None:
+            return ()
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                cross = qp_sub(qp_mul(m[k][k], m[i][j]), qp_mul(m[i][k], m[k][j]))
+                m[i][j] = qp_div_exact(cross, prev)
+        prev = m[k][k]
+    return prev if sign > 0 else qp_neg(prev)
 
 
 def _trimmed(t):
@@ -181,31 +182,77 @@ def _trimmed(t):
     return t
 
 
-def test_minor_gcd_against_brute_force():
-    rng = random.Random(55)
-    for _ in range(12):
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 3)
-        dense = [
-            [
-                _trimmed((rng.randint(-3, 3), rng.randint(-2, 2)))
-                for _ in range(ncols)
-            ]
-            for _ in range(nrows)
-        ]
-        sparse = _dense_to_sparse(dense)
-        rank, gcd = minor_gcd(sparse, ncols)
-        assert rank == sparse_rank(sparse, ncols)
-        if rank:
-            brute = _brute_minor_gcd(dense, rank)
-            assert gcd == brute, (dense, gcd, brute)
+# integer polynomials of q-degree at most 2, often zero or constant
+small_poly = st.one_of(
+    st.just(()),
+    st.integers(-3, 3).map(lambda c: _trimmed((c,))),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(_trimmed),
+)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Dense integer-polynomial matrices of at most 5 x 4.
+
+    Some rows are zero and some are Z[q]-combinations of earlier rows, so
+    rank-deficient inputs are common.
+    """
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([()] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(small_poly), draw(small_poly)
+            rows.append(
+                [qp_add(qp_mul(a, u), qp_mul(b, v)) for u, v in zip(rows[0], rows[-1])]
+            )
+        else:
+            rows.append([draw(small_poly) for _ in range(ncols)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_matrices())
+def test_minor_gcd_against_brute_force(dense):
+    ncols = len(dense[0])
+    sparse = _dense_to_sparse(dense)
+    rank, gcd = minor_gcd(sparse, ncols)
+    assert rank == sparse_rank(sparse, ncols)
+    if rank:
+        assert gcd == _brute_minor_gcd(dense, rank), (dense, gcd)
+    else:
+        assert gcd == QP_ONE
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_matrices(), st.randoms(use_true_random=False))
+def test_minor_gcd_ignores_row_and_column_order(dense, rnd):
+    # the pivot chooser breaks ties in row-major order, so a shuffle changes
+    # the pivots; the rank and the determinantal divisor must not move
+    ncols = len(dense[0])
+    rows = [list(row) for row in dense]
+    cols = list(range(ncols))
+    rnd.shuffle(rows)
+    rnd.shuffle(cols)
+    shuffled = [[row[j] for j in cols] for row in rows]
+    assert minor_gcd(_dense_to_sparse(shuffled), ncols) == minor_gcd(
+        _dense_to_sparse(dense), ncols
+    )
 
 
 def test_minor_gcd_on_harmonic_constraints_small():
-    rows, ncols = harmonic_constraint_rows(2, 4, (1, 2))
-    rank, gcd = minor_gcd(rows, ncols)
-    dense = [[row.get(j, ()) for j in range(ncols)] for row in rows]
-    assert gcd == _brute_minor_gcd(dense, rank)
+    # every cell the minor enumeration finishes in a few seconds; the next
+    # ones take 23 s, (2, 9), or more than 40 s, (3, 5) and (4, 3)
+    cells = [(2, d) for d in range(1, 9)] + [(3, d) for d in range(1, 5)]
+    cells += [(4, 1), (4, 2), (5, 1), (5, 2)]
+    for n, d in cells:
+        rows, ncols = harmonic_constraint_rows(n, d, (1, 2))
+        rank, gcd = minor_gcd(rows, ncols)
+        assert rank == sparse_rank(rows, ncols)
+        dense = [[row.get(j, ()) for j in range(ncols)] for row in rows]
+        assert gcd == _brute_minor_gcd(dense, rank), (n, d)
 
 
 def test_rank_never_increases_under_specialization():
