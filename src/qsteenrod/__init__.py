@@ -63,7 +63,6 @@ from .spaces import (
     harm_component,
     hilbert_of,
     hit_component,
-    leading_monomials,
     staircase_report,
     truncated_harm_component,
     truncated_hit_component,

@@ -215,7 +215,10 @@ class SubspaceCache:
 
     def __init__(self, directory: str):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise QSteenrodError(f"cache directory {directory!r}: {exc.strerror}")
 
     def _path(self, key: str) -> str:
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
@@ -226,12 +229,12 @@ class SubspaceCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 wrapper = json.load(handle)
-            if wrapper.get("key") != key:
+            if not isinstance(wrapper, dict) or wrapper.get("key") != key:
                 return None
             if wrapper.get("checksum") != _payload_checksum(wrapper["payload"]):
                 return None
             return deserialize_subspace(wrapper["payload"])
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def store(self, key: str, v: GradedSubspace) -> None:

@@ -9,6 +9,9 @@ every entry exactly; that division yields the stripped row
 (``scalars.qp_common_factor``).
 Pivoting is deterministic (leftmost nonzero column, first row wins), which
 makes reduced echelon forms canonical and reproducible.
+``kernel_basis`` reads one kernel vector per free column off a reduced
+echelon form; ``null_space`` does so with the columns reversed, which yields
+the kernel's own reduced echelon basis from the same single elimination.
 """
 
 from __future__ import annotations
@@ -145,6 +148,24 @@ def kernel_basis(
     return out
 
 
+def null_space(rows: list[SparseIntRow], ncols: int) -> list[SparseRFRow]:
+    """Reduced echelon basis of the right kernel of rows, from one elimination.
+
+    Eliminating with the columns reversed (j -> ncols - 1 - j), the kernel
+    vector of a free column f is 1 at f, 0 at the other free columns and
+    nonzero elsewhere only at pivot columns left of f, i.e. right of f once
+    the order is restored.  So, taken in reverse, these vectors have
+    increasing unit leading columns that no other vector touches: the
+    reduced echelon form of the kernel, unique over Q(q).
+    """
+    last = ncols - 1
+    pivots, reduced = reduced_echelon(
+        [{last - j: v for j, v in row.items()} for row in rows], ncols
+    )
+    vecs = kernel_basis(pivots, reduced, ncols)
+    return [{last - j: v for j, v in vec.items()} for vec in reversed(vecs)]
+
+
 def rf_rows_to_int(rows: Iterable[SparseRFRow]) -> list[SparseIntRow]:
     return [clear_denominators(r) for r in rows]
 
@@ -211,24 +232,6 @@ def kernel(m: Matrix) -> list[tuple[RationalFunction, ...]]:
     return m.kernel()
 
 
-def _homogeneous_frame(
-    polys: Sequence[Polynomial],
-) -> tuple[int, int, list[Monomial], dict[Monomial, int]]:
-    live = [p for p in polys if p]
-    if not live:
-        raise ValueError("cannot infer degree frame from zero input")
-    n = live[0].n
-    degree = live[0].homogeneous_degree()
-    for p in live:
-        if p.n != n:
-            raise VariableCountMismatchError("mixed variable counts")
-        if p.homogeneous_degree() != degree:
-            raise InhomogeneousError("mixed degrees in one graded slice")
-    columns = monomials_of_degree(n, degree)
-    index = {m: j for j, m in enumerate(columns)}
-    return n, degree, columns, index
-
-
 def poly_to_row(p: Polynomial, index: dict[Monomial, int]) -> SparseRFRow:
     return {index[m]: c for m, c in p.terms.items()}
 
@@ -272,7 +275,14 @@ def echelonize(polys: Sequence[Polynomial]) -> list[Polynomial]:
     live = [p for p in polys if p]
     if not live:
         return []
-    n, _, columns, index = _homogeneous_frame(live)
+    n, degree = live[0].n, live[0].homogeneous_degree()
+    for p in live:
+        if p.n != n:
+            raise VariableCountMismatchError("mixed variable counts")
+        if p.homogeneous_degree() != degree:
+            raise InhomogeneousError("mixed degrees in one graded slice")
+    columns = monomials_of_degree(n, degree)
+    index = {m: j for j, m in enumerate(columns)}
     rows = rf_rows_to_int(poly_to_row(p, index) for p in live)
     _, reduced = reduced_echelon(rows, len(columns))
     return [row_to_poly(row, n, columns) for row in reduced]
@@ -304,9 +314,5 @@ def weighted_complement(
         if p.n != n or p.homogeneous_degree() != degree:
             raise InhomogeneousError("complement input outside the degree slice")
         rows.append({index[m]: c * weight_rf[m] for m, c in p.terms.items()})
-    if not rows:
-        return [Polynomial(n, {m: RF_ONE}) for m in columns]
-    int_rows = rf_rows_to_int(rows)
-    pivots, reduced = reduced_echelon(int_rows, len(columns))
-    vecs = kernel_basis(pivots, reduced, len(columns))
-    return echelonize([row_to_poly(v, n, columns) for v in vecs])
+    vecs = null_space(rf_rows_to_int(rows), len(columns))
+    return [row_to_poly(v, n, columns) for v in vecs]

@@ -235,7 +235,8 @@ def commutant_search(
     G; this is exploratory machinery, nothing is asserted about it.  The
     unknown is one block per degree 1..cap; each equation is imposed on the
     degrees d where both composites stay inside the cap (d + deg G <= cap).
-    Returns an echelonized basis of the solution space.
+    Returns the free-column basis of the solution space: each solution is 1
+    at its free unknown, its last nonzero entry, and 0 at the other free ones.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")

@@ -20,7 +20,7 @@ from .errors import InhomogeneousError
 from .linalg import (
     SparseRFRow,
     echelonize,
-    kernel_basis,
+    null_space,
     reduced_echelon,
     rf_rows_to_int,
     row_to_poly,
@@ -65,26 +65,19 @@ class GradedSubspace:
         return {p.leading_monomial() for p in self.basis}
 
     def contains(self, p: Polynomial) -> bool:
-        """Exact membership test against the reduced echelon basis."""
-        if not p:
-            return True
-        if p.n != self.n or p.homogeneous_degree() != self.degree:
-            return False
-        rem = p
-        for b in self.basis:
-            coeff = rem.coefficient(b.leading_monomial())
-            if coeff:
-                rem = rem - b.scale(coeff)
-        return rem.is_zero()
+        return self.coordinates(p) is not None
 
     def coordinates(self, p: Polynomial) -> list[RationalFunction] | None:
-        """Coordinates of p over the basis, or None if p is outside the span."""
-        coords = [p.coefficient(b.leading_monomial()) for b in self.basis]
+        """Coordinates of p over an echelon basis with unit leading
+        coefficients, or None if p is outside the span."""
+        coords = []
         rem = p
-        for b, c in zip(self.basis, coords):
+        for b in self.basis:
+            c = rem.coefficient(b.leading_monomial())
+            coords.append(c)
             if c:
                 rem = rem - b.scale(c)
-        return coords if rem.is_zero() else None
+        return None if rem else coords
 
     def __iter__(self):
         return iter(self.basis)
@@ -94,10 +87,6 @@ def full_component(n: int, d: int) -> GradedSubspace:
     """The whole degree-d slice of the polynomial ring."""
     basis = tuple(Polynomial.monomial(n, m) for m in monomials_of_degree(n, d))
     return GradedSubspace(n, d, basis)
-
-
-def leading_monomials(v: GradedSubspace) -> set[Monomial]:
-    return v.leading_monomials()
 
 
 def harm_generator_degrees(n: int, q: QParam) -> tuple[int, ...]:
@@ -148,10 +137,8 @@ def harm_component(
     degrees = generator_degrees or harm_generator_degrees(n, q)
     columns = monomials_of_degree(n, d)
     rows = down_constraint_rows(n, d, q, degrees)
-    pivots, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
-    vecs = kernel_basis(pivots, reduced, len(columns))
-    polys = [row_to_poly(v, n, columns) for v in vecs]
-    return GradedSubspace(n, d, tuple(echelonize(polys)))
+    vecs = null_space(rf_rows_to_int(rows), len(columns))
+    return GradedSubspace(n, d, tuple(row_to_poly(v, n, columns) for v in vecs))
 
 
 def weighted_complement(v: GradedSubspace, weights=factorial_weight) -> GradedSubspace:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from qsteenrod.cli import (
     serialize_polynomial,
     serialize_subspace,
     _merge_q_flags,
+    _payload_checksum,
 )
 from qsteenrod.polynomials import Polynomial
 from qsteenrod.scalars import QParam, RF_Q
@@ -132,6 +134,36 @@ def test_cache_hit_and_corruption(tmp_path):
     assert cache.load(key) is None
 
 
+@pytest.mark.parametrize("content", ["[]", "null", "{key}", "{checksummed}"])
+def test_cache_file_of_wrong_shape_is_a_miss(content, tmp_path):
+    cache = SubspaceCache(str(tmp_path))
+    key = cache_key("harm", 2, 1, FORMAL)
+    # valid JSON, but not a wrapper object, or a checksummed payload whose
+    # basis entries do not unpack
+    payload = {"n": 2, "degree": 1, "order": "lex", "basis": [[7]]}
+    text = {
+        "{key}": json.dumps({"key": key}),
+        "{checksummed}": json.dumps({"key": key, "payload": payload,
+                                     "checksum": _payload_checksum(payload)}),
+    }.get(content, content)
+    with open(cache._path(key), "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert cache.load(key) is None
+
+
+@pytest.mark.parametrize("content", ["[]", "null"])
+def test_cli_recomputes_over_wrong_shape_cache_files(content, tmp_path, capsys):
+    argv = ["harm", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    for name in os.listdir(tmp_path):
+        with open(tmp_path / name, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold and captured.err == ""
+
+
 def test_cached_cli_run_identical(tmp_path, capsys):
     args = ["harm", "-n", "2", "-d", "2", "--format", "json",
             "--cache-dir", str(tmp_path)]
@@ -208,6 +240,15 @@ def test_input_error_exit_code(capsys):
 )
 def test_bad_variable_count_or_q_exits_2(argv, capsys):
     assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "input"
+
+
+def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "plain-file"
+    path.write_text("")
+    assert main(["harm", "-n", "2", "-d", "2", "--cache-dir", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "input"
@@ -294,6 +335,12 @@ PINNED_REPORTS = [
      "569ffd3f94edb499f833b2080467b68a12b027002dce65fb569d5f4202be1c57"),
     ("schubert -n 3",
      "2f11608335d36a75b23a23f19873e202ae91a776deb7e97cf1349d495a11a20a"),
+    ("harm -n 4 -d 6 --basis",
+     "f1a346faf3e599d31fe65d6e9d06a0d8bd065df2bab4a586bdc09f8bb83c8f5f"),
+    ("harm -n 5 -d 5 --basis",
+     "933c0d7191eaa936f4e1df597039c09f6425c879f3fb8b9f54f08332b1fd360a"),
+    ("harm -n 5 -d 5 -q 1 --basis",
+     "651537c5aa8279f1dcd59c57eb38e0988fc82f3fa6a6947a9eaa65567834f454"),
 ]
 
 

@@ -5,21 +5,36 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qsteenrod import linalg, spaces
 from qsteenrod.errors import InhomogeneousError, InvalidWeightError
 from qsteenrod.linalg import (
     Matrix,
     echelonize,
     forward_eliminate,
     kernel,
+    kernel_basis,
+    null_space,
+    poly_to_row,
+    reduced_echelon,
     rf_rows_to_int,
+    row_to_poly,
     slice_images,
     transpose,
     weighted_complement,
 )
 from qsteenrod.polynomials import Polynomial, factorial_weight, monomials_of_degree
-from qsteenrod.scalars import FORMAL, QParam, RF_ONE, RF_Q, RF_ZERO, rf_normalize
+from qsteenrod.scalars import (
+    FORMAL,
+    QParam,
+    RF_ONE,
+    RF_Q,
+    RF_ZERO,
+    RationalFunction,
+    qp_trim,
+    rf_normalize,
+)
 from qsteenrod.spaces import down_constraint_rows
 from qsteenrod.steenrod import dual_pk, make_pk
 from qsteenrod.weyl import weyl_apply
@@ -216,3 +231,85 @@ def test_forward_eliminate_rows_pinned(q):
     assert len(out[0]) == 53
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == ELIMINATION_DIGESTS[q]
+
+
+@st.composite
+def int_poly_matrices(draw):
+    """Sparse Z[q] matrices of at most 6 x 6 with entries of q-degree <= 2.
+
+    Zero rows, all-zero matrices (rank 0) and unit upper triangular blocks
+    (full column rank) are drawn on purpose.
+    """
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "random", "zero", "full"]))
+    if kind == "full":
+        nrows = max(nrows, ncols)
+    entry = st.lists(st.integers(-3, 3), max_size=3).map(lambda c: qp_trim(tuple(c)))
+    rows = []
+    for i in range(nrows):
+        row = {j: draw(entry) for j in range(ncols)}
+        if kind == "full" and i < ncols:
+            row = {j: v for j, v in row.items() if j > i}
+            row[i] = (1,)
+        elif kind == "zero" or draw(st.integers(0, 5)) == 0:
+            row = {}
+        rows.append({j: v for j, v in row.items() if v})
+    return rows, ncols
+
+
+def _kernel_then_echelonize(rows, ncols):
+    """The two-pass reference: free-column kernel, then its reduced echelon form."""
+    pivots, reduced = reduced_echelon(rows, ncols)
+    columns = monomials_of_degree(2, ncols - 1)
+    index = {m: j for j, m in enumerate(columns)}
+    polys = [row_to_poly(v, 2, columns) for v in kernel_basis(pivots, reduced, ncols)]
+    return len(pivots), [poly_to_row(p, index) for p in echelonize(polys)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_poly_matrices())
+@example(([{}], 1))
+@example(([{0: (0, 1)}], 1))
+@example(([{0: (1,)}, {0: (2,), 1: (0, 0, 3)}], 2))
+@example(([{}, {}], 3))
+@example(([{0: (1,), 1: (2,)}, {1: (0, 1)}], 2))
+def test_null_space_matches_kernel_then_echelonize(matrix):
+    rows, ncols = matrix
+    rank, expected = _kernel_then_echelonize(rows, ncols)
+    got = null_space(rows, ncols)
+    assert got == expected
+    assert len(got) == ncols - rank
+    leads = [min(v) for v in got]
+    assert leads == sorted(set(leads))
+    assert all(v[min(v)] == RF_ONE for v in got)
+    for vec in got:
+        for row in rows:
+            total = RF_ZERO
+            for j, c in vec.items():
+                if j in row:
+                    total = total + RationalFunction.make(row[j]) * c
+            assert total == RF_ZERO
+
+
+def test_one_elimination_per_harmonic_slice(monkeypatch):
+    counts = {"forward_eliminate": 0, "echelonize": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        linalg, "forward_eliminate", counting("forward_eliminate", forward_eliminate)
+    )
+    for module in (linalg, spaces):
+        monkeypatch.setattr(module, "echelonize", counting("echelonize", echelonize))
+    harm = spaces.harm_component.__wrapped__(3, 3, FORMAL)
+    assert harm.dim > 0
+    assert counts == {"forward_eliminate": 1, "echelonize": 0}
+    hit = spaces.hit_component.__wrapped__(3, 4, QParam.rational(-2, 3))
+    counts["forward_eliminate"] = 0
+    comp = spaces.weighted_complement(hit)
+    assert comp.dim == len(monomials_of_degree(3, 4)) - hit.dim
+    assert counts == {"forward_eliminate": 1, "echelonize": 0}

@@ -2,8 +2,9 @@
 
 from qsteenrod.linalg import echelonize
 from qsteenrod.polynomials import Polynomial, monomials_of_degree
-from qsteenrod.scalars import QParam
+from qsteenrod.scalars import QParam, RF_ONE
 from qsteenrod.spaces import (
+    GradedSubspace,
     StaircaseSet,
     classical_harm_hilbert,
     full_component,
@@ -235,6 +236,20 @@ def test_subspace_membership_and_coordinates():
     for c, b in zip(coords, space.basis):
         rebuilt = rebuilt + b.scale(c)
     assert rebuilt == combo
+    assert space.contains(Polynomial.zero(3))
+    assert not space.contains(x(3, 1) * x(3, 2))
+    assert not space.contains(x(2, 1))
+
+
+def test_coordinates_on_unreduced_echelon_basis():
+    # unit leading coefficients, but b0 has a term at the leading monomial of b1
+    b0 = x(2, 1) ** 2 + x(2, 1) * x(2, 2)
+    b1 = x(2, 1) * x(2, 2) + x(2, 2) ** 2
+    space = GradedSubspace(2, 2, (b0, b1))
+    p = b0 + b1.scale(2)
+    assert space.coordinates(p) == [RF_ONE, RF_ONE * 2]
+    assert space.contains(p)
+    assert not space.contains(x(2, 2) ** 2)
 
 
 def test_full_component():
