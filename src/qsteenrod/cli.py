@@ -611,6 +611,8 @@ def execute(spec: CommandSpec) -> Report:
         raise ValueError("degree cap must be nonnegative")
     if spec.n < 1:
         raise ValueError("need at least one variable")
+    if spec.cache_dir:
+        SubspaceCache(spec.cache_dir)  # every command rejects an unusable one
     return RUNNERS[spec.command](spec)
 
 

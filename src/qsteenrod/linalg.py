@@ -9,6 +9,12 @@ every entry exactly; that division yields the stripped row
 (``scalars.qp_common_factor``).
 Pivoting is deterministic (leftmost nonzero column, first row wins), which
 makes reduced echelon forms canonical and reproducible.
+Before eliminating, ``reduced_echelon`` and ``sparse_rank`` try the full-rank
+certificate of ``modular.rank_mod_p``: the rank at one seeded point mod a
+61-bit prime is a lower bound on the rank over Q(q), so when it already equals
+ncols (or min(nonzero rows, ncols) for ``sparse_rank``) the answer is known
+exactly: the rank, and, the RREF being unique, the identity rows.  Otherwise
+the exact elimination runs as it is.
 ``kernel_basis`` reads one kernel vector per free column off a reduced
 echelon form; ``null_space`` does so with the columns reversed, which yields
 the kernel's own reduced echelon basis from the same single elimination.
@@ -19,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import modular
 from .errors import InhomogeneousError, InvalidWeightError, VariableCountMismatchError
 from .polynomials import Monomial, Polynomial, monomials_of_degree
 from .scalars import (
@@ -113,6 +120,8 @@ def reduced_echelon(
     rows: list[SparseIntRow], ncols: int
 ) -> tuple[list[int], list[SparseRFRow]]:
     """Reduced row echelon form over Q(q) with unit pivots."""
+    if modular.rank_mod_p(rows, ncols, ncols) == ncols:
+        return list(range(ncols)), [{j: RF_ONE} for j in range(ncols)]
     pivots, ech = forward_eliminate(rows, ncols)
     for k in range(len(pivots) - 1, -1, -1):
         for i in range(k):
@@ -127,6 +136,9 @@ def reduced_echelon(
 
 
 def sparse_rank(rows: list[SparseIntRow], ncols: int) -> int:
+    bound = min(sum(1 for r in rows if r), ncols)
+    if modular.rank_mod_p(rows, ncols, bound) == bound:
+        return bound
     return len(forward_eliminate(rows, ncols)[0])
 
 

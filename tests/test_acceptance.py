@@ -6,6 +6,7 @@ the time budgets the criteria must meet.
 """
 
 import json
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -522,3 +523,15 @@ def test_criterion_19_badq_reach():
                         f"  [FINDING] bad-q form deviation: n={n} d={d} "
                         f"root={root} is not -a/b with a in 1..{n}"
                     )
+
+
+def test_criterion_20_full_slices():
+    # Above degree n(n-1)/2 = 6 every slice of n = 4 is all hit; the mod-p
+    # rank certifies that without eliminating over Z[q].  Built uncached.
+    with criterion(20, "full slices: harm, hit of n = 4, d = 7, 8, formal q", 10.0):
+        for d in (7, 8):
+            assert harm_component.__wrapped__(4, d, FORMAL).dim == 0
+            hit = hit_component.__wrapped__(4, d, FORMAL)
+            assert hit.dim == len(monomials_of_degree(4, d)) == math.comb(3 + d, d)
+            for p in hit.basis:
+                assert p == Polynomial.monomial(4, p.leading_monomial())

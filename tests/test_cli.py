@@ -254,6 +254,19 @@ def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["type"] == "input"
 
 
+@pytest.mark.parametrize(
+    "line", ["badq -n 2 -d 3", "hilbert --kind sym -n 2 -d 3", "schubert -n 3"]
+)
+def test_cache_dir_naming_a_file_exits_2_without_slices(line, tmp_path, capsys):
+    """Commands that read no cached slice still reject the option."""
+    path = tmp_path / "plain-file"
+    path.write_text("")
+    assert main(line.split() + ["--cache-dir", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "input"
+
+
 def test_unknown_command_exit_code():
     assert main(["frobnicate"]) == 2
 
