@@ -26,6 +26,7 @@ from .linalg import (
 )
 from .polynomials import Monomial, Polynomial, monomials_of_degree
 from .scalars import QParam, RF_ZERO, RationalFunction
+from .spaces import generating_degrees
 from .steenrod import make_pk
 from .weyl import WeylElement, weyl_apply
 
@@ -217,8 +218,7 @@ def d_sigma(word: Sequence[int], n: int, cap: int) -> GradedOperator:
 
 def default_commutant_generators(n: int, q: QParam) -> list[WeylElement]:
     """P_1..P_n at q = 0 (multiplication by power sums); else P_1, P_2."""
-    degrees = range(1, n + 1) if q.is_zero else (1, 2)
-    return [make_pk(n, k, q) for k in degrees]
+    return [make_pk(n, k, q) for k in generating_degrees(n, q)]
 
 
 def commutant_search(

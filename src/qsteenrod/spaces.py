@@ -1,12 +1,16 @@
 """Graded hit and harmonic spaces, their truncated variants, Hilbert series.
 
-For a fixed q, the degree-d hit space is spanned by the images P_k . m over
-1 <= k <= d and monomials m of degree d - k; the harmonic space is the joint
-kernel of the down operators D_k on degree d.  Two down operators suffice
-when q is nonzero or formal (P_1 and P_2 generate); at q = 0 the generators
-are the first n power sums.  Harmonics are also the orthogonal complement of
-the hits under the factorial-weighted scalar product, which the test suite
-cross-checks degree by degree.
+For a fixed q, the degree-d hit space is spanned by the images P_k . m of
+the generating operators on the monomials m of degree d - k: P_1 and P_2
+when q is nonzero or formal, P_1..P_n at q = 0 (`generating_degrees`).
+These images contain every other P_k . m.  For q != 0 the commutation rule
+gives P_{k+1} = (P_1 P_k - P_k P_1) / (q(k-1)), so by induction
+im P_{k+1} lies in im P_1 + im P_k, hence in im P_1 + im P_2.  At q = 0,
+P_k is multiplication by the power sum p_k, which Newton's identities put
+in the ideal generated by p_1..p_n.  The harmonic space is the joint
+kernel of the down operators D_k on degree d for the same k.  Harmonics
+are also the orthogonal complement of the hits under the factorial-weighted
+scalar product, which the test suite cross-checks degree by degree.
 """
 
 from __future__ import annotations
@@ -89,11 +93,12 @@ def full_component(n: int, d: int) -> GradedSubspace:
     return GradedSubspace(n, d, basis)
 
 
-def harm_generator_degrees(n: int, q: QParam) -> tuple[int, ...]:
-    """Degrees of the down operators that cut out the harmonic space.
+def generating_degrees(n: int, q: QParam) -> tuple[int, ...]:
+    """Degrees k of the P_k (and D_k) that generate the operator algebra.
 
-    P_1 and P_2 generate the whole operator algebra when q is nonzero or
-    formal; at q = 0 one needs the first n power sums.
+    P_1 and P_2 generate it when q is nonzero or formal; at q = 0 one needs
+    the first n power sums.  Hit slices are spanned by the images of these
+    P_k, harmonic slices cut out by these D_k.
     """
     if q.is_zero:
         return tuple(range(1, n + 1))
@@ -102,9 +107,16 @@ def harm_generator_degrees(n: int, q: QParam) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
-    """Degree-d slice of the hit polynomials at the given q."""
+    """Degree-d slice of the hit polynomials at the given q.
+
+    Only the generating P_k are applied, P_1 before P_2: the images of the
+    others lie in their span (see the module docstring), and the reduced
+    echelon basis of a span is unique.
+    """
     rows: list[SparseRFRow] = []
-    for k in range(1, d + 1):
+    for k in generating_degrees(n, q):
+        if k > d:
+            continue
         rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
     columns = monomials_of_degree(n, d)
     _, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
@@ -134,7 +146,7 @@ def harm_component(
     n: int, d: int, q: QParam, generator_degrees: tuple[int, ...] | None = None
 ) -> GradedSubspace:
     """Degree-d slice of the harmonic polynomials at the given q."""
-    degrees = generator_degrees or harm_generator_degrees(n, q)
+    degrees = generator_degrees or generating_degrees(n, q)
     columns = monomials_of_degree(n, d)
     rows = down_constraint_rows(n, d, q, degrees)
     vecs = null_space(rf_rows_to_int(rows), len(columns))

@@ -32,6 +32,7 @@ from .linalg import (
 )
 from .polynomials import Polynomial, monomials_of_degree, scalar_product
 from .scalars import (
+    FORMAL,
     IntPoly,
     QParam,
     QP_ONE,
@@ -50,8 +51,8 @@ from .scalars import (
 from .spaces import (
     GradedSubspace,
     down_constraint_rows,
+    generating_degrees,
     harm_component,
-    harm_generator_degrees,
 )
 
 
@@ -352,13 +353,15 @@ def bad_q_candidates(
     (degrees 1 and 2; all degrees up to d with the paranoia flag), takes the
     gcd of its maximal minors, and extracts the rational roots.  Every root
     is verified to drop the rank of the stack.  The harmonic dimension at a
-    root is counted with the generators it needs there (harm_generator_degrees,
+    root is counted with the generators it needs there (generating_degrees,
     D_1..D_n at q = 0), which the stack may lack; only roots where that
     dimension exceeds the generic one are reported, with it, as jumps.
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    degrees = tuple(range(1, d + 1)) if extended_generators else (1, 2)
+    degrees = generating_degrees(n, FORMAL)
+    if extended_generators:
+        degrees = tuple(range(1, d + 1))
     rows, ncols = harmonic_constraint_rows(n, d, degrees)
     rank = sparse_rank(rows, ncols)
     smith_rank, gcd = minor_gcd(rows, ncols)
@@ -375,7 +378,7 @@ def bad_q_candidates(
             raise AssertionError(
                 f"root {root} of the minor gcd did not drop the rank"
             )
-        extra = [k for k in harm_generator_degrees(n, QParam(root)) if k not in degrees]
+        extra = [k for k in generating_degrees(n, QParam(root)) if k not in degrees]
         if extra:
             specialized += evaluate_rows(harmonic_constraint_rows(n, d, extra)[0], root)
             dropped = sparse_rank(specialized, ncols)

@@ -1,6 +1,15 @@
 """Hit and harmonic slices, Hilbert series, staircases, truncated variants."""
 
-from qsteenrod.linalg import echelonize
+from functools import partial
+
+from qsteenrod import spaces
+from qsteenrod.linalg import (
+    echelonize,
+    reduced_echelon,
+    rf_rows_to_int,
+    row_to_poly,
+    slice_images,
+)
 from qsteenrod.polynomials import Polynomial, monomials_of_degree
 from qsteenrod.scalars import QParam, RF_ONE
 from qsteenrod.spaces import (
@@ -84,6 +93,58 @@ def test_generator_economy():
                 lean = harm_component(n, d, q)
                 full = harm_component(n, d, q, generator_degrees=tuple(range(1, d + 1)))
                 assert lean.basis == full.basis
+
+
+def all_pk_hit_basis(n, d, q):
+    """Oracle: the reduced echelon basis of the images of every P_k, k <= d."""
+    rows = []
+    for k in range(1, d + 1):
+        rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
+    columns = monomials_of_degree(n, d)
+    _, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
+    return tuple(row_to_poly(r, n, columns) for r in reduced)
+
+
+def test_hit_generator_economy():
+    # images of the generating P_k span the images of all P_k, k <= d
+    q_values = [FORMAL] + [
+        QParam.rational(*v)
+        for v in ((1,), (13, 29), (-1, 2), (-1,), (-1, 3), (-2, 3), (0,))
+    ]
+    for q in q_values:
+        for n, top in ((1, 6), (2, 6), (3, 6), (4, 5)):
+            for d in range(top + 1):
+                lean = hit_component(n, d, q).basis
+                assert lean == all_pk_hit_basis(n, d, q), (n, d, str(q))
+
+
+def test_hit_applies_only_the_generating_operators(monkeypatch):
+    applied = []
+    rows_in = []
+
+    def recording_pk(n, k, q):
+        applied.append(k)
+        return make_pk(n, k, q)
+
+    def recording_echelon(rows, ncols):
+        rows_in.append(len(rows))
+        return reduced_echelon(rows, ncols)
+
+    monkeypatch.setattr(spaces, "make_pk", recording_pk)
+    monkeypatch.setattr(spaces, "reduced_echelon", recording_echelon)
+    build = hit_component.__wrapped__  # bypass the slice cache
+    build(4, 6, FORMAL)
+    assert applied == [1, 2]
+    assert rows_in == [91]  # 56 images of P_1 and 35 of P_2; all k gave 126
+    for q in (QParam.rational(1), QParam.rational(-1, 2), QParam.rational(13, 29)):
+        applied.clear()
+        build(3, 6, q)
+        assert applied == [1, 2], str(q)
+    q0 = QParam.rational(0)
+    for n, d, ks in ((2, 5, [1, 2]), (3, 6, [1, 2, 3]), (3, 2, [1, 2]), (4, 1, [1])):
+        applied.clear()
+        build(n, d, q0)
+        assert applied == ks, (n, d)
 
 
 def test_harm_at_zero_needs_n_generators():

@@ -186,14 +186,25 @@ def test_triangularity():
 
 
 def test_generated_by_first_two():
-    """P_k lies in the commutator span of P_1, P_2 after dividing by q(l-k)."""
-    n = 2
-    q = FORMAL
-    p = {k: make_pk(n, k, q) for k in (1, 2)}
-    for k in range(3, 6):
-        bracket = weyl_compose(p[1], p[k - 1]) - weyl_compose(p[k - 1], p[1])
-        p[k] = bracket.scale(RF_ONE / (RF_Q * (k - 2)))
-        assert p[k] == make_pk(n, k, q)
+    """P_k lies in the commutator span of P_1, P_2 after dividing by q(l-k).
+
+    `hit_component` applies only P_1 and P_2 at every nonzero q, so this is
+    checked at the formal q, at q = 1, at bad values and at a generic one.
+    """
+    q_values = (
+        FORMAL,
+        QParam.rational(1),
+        QParam.rational(-1, 2),
+        QParam.rational(-1, 3),
+        QParam.rational(13, 29),
+    )
+    for q in q_values:
+        for n in (1, 2, 3):
+            p = {k: make_pk(n, k, q) for k in (1, 2)}
+            for k in range(3, 8):
+                bracket = weyl_compose(p[1], p[k - 1]) - weyl_compose(p[k - 1], p[1])
+                p[k] = bracket.scale(RF_ONE / (q.scalar() * (k - 2)))
+                assert p[k] == make_pk(n, k, q), (str(q), n, k)
 
 
 def test_hit_symmetry():
