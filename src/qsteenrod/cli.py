@@ -309,18 +309,18 @@ def _regular_finding(chi: GradedCharacter, n: int) -> dict:
 
 
 def run_hilbert(spec: CommandSpec) -> Report:
-    series = hilbert_of(spec.kind, spec.n, spec.degree, spec.q)
     tables = []
-    closed_forms = {"polynomials", "sym", "classical-harm", "partitions"}
-    if spec.kind in closed_forms:
+    if spec.kind in COMPONENTS:
+        for d in range(spec.degree + 1):
+            space = _cached_component(spec, spec.kind, spec.n, d, spec.q)
+            classical = _cached_component(
+                spec, spec.kind, spec.n, d, QParam.rational(0)
+            )
+            tables.append({"degree": d, "dim": space.dim, "dim_q0": classical.dim})
+    else:
+        series = hilbert_of(spec.kind, spec.n, spec.degree, spec.q)
         for d in range(spec.degree + 1):
             tables.append({"degree": d, "dim": series[d]})
-    else:
-        classical = hilbert_of(spec.kind, spec.n, spec.degree, QParam.rational(0))
-        for d in range(spec.degree + 1):
-            tables.append(
-                {"degree": d, "dim": series[d], "dim_q0": classical[d]}
-            )
     return Report(spec.echo(), tables, [])
 
 

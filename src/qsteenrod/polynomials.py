@@ -1,4 +1,10 @@
-"""Sparse multivariate polynomials over Q(q).
+"""Sparse multivariate polynomials over Q(q), on a shared sparse-term core.
+
+`_SparseTerms` is a sparse map from exponent keys on n variables to nonzero
+scalars in Q(q), with the linear structure, equality and printing written
+once; `Polynomial` (keys: exponent tuples) and `weyl.WeylElement` (keys:
+pairs of exponent tuples) differ only in which keys fit and how a key
+prints, plus their own products.
 
 Monomials are exponent tuples of fixed length n; the monomial order is
 lexicographic with x1 > x2 > ... > xn, which for same-length tuples is plain
@@ -36,143 +42,98 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     return out
 
 
-class Polynomial:
-    """A sparse polynomial; terms map exponent tuples to nonzero scalars."""
+def _power_factors(var: str, exps: Monomial) -> list[str]:
+    """Printed factors var_i^e of an exponent vector, one per nonzero e."""
+    return [
+        f"{var}{i + 1}" if e == 1 else f"{var}{i + 1}^{e}"
+        for i, e in enumerate(exps)
+        if e
+    ]
+
+
+class _SparseTerms:
+    """A sparse Q(q)-linear combination of exponent keys on n variables.
+
+    `terms` maps keys to nonzero scalars.  A subclass fixes the keys by two
+    hooks: `_fits(key, n)` says whether a key belongs to n variables, and
+    `_factors(key)` lists the printed factors of its monomial.
+    """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[Monomial, RationalFunction] | None = None):
+    def __init__(self, n: int, terms: dict | None = None):
         self.n = n
-        clean: dict[Monomial, RationalFunction] = {}
+        clean = {}
         if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != n:
+            for key, coeff in terms.items():
+                if not self._fits(key, n):
                     raise VariableCountMismatchError(
-                        f"exponent vector {mono} has length != {n}"
+                        f"exponent key {key} does not fit {n} variables"
                     )
                 if coeff:
-                    clean[mono] = coeff
+                    clean[key] = coeff
         self.terms = clean
 
     @staticmethod
-    def zero(n: int) -> "Polynomial":
-        return Polynomial(n)
+    def _fits(key, n: int) -> bool:
+        raise NotImplementedError
 
     @staticmethod
-    def one(n: int) -> "Polynomial":
-        return Polynomial(n, {(0,) * n: RF_ONE})
+    def _factors(key) -> list[str]:
+        raise NotImplementedError
 
-    @staticmethod
-    def variable(n: int, i: int) -> "Polynomial":
-        """The variable x_i (1-based)."""
-        if not 1 <= i <= n:
-            raise VariableCountMismatchError(f"variable index {i} out of 1..{n}")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return Polynomial(n, {exps: RF_ONE})
+    @classmethod
+    def _wrap(cls, n: int, terms: dict):
+        """An element over terms already known to fit n and to have no zeros."""
+        out = cls.__new__(cls)
+        out.n, out.terms = n, terms
+        return out
 
-    @staticmethod
-    def monomial(n: int, exps: Iterable[int], coeff=RF_ONE) -> "Polynomial":
-        return Polynomial(n, {tuple(exps): _coerce(coeff)})
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
 
-    def coefficient(self, mono: Monomial) -> RationalFunction:
-        return self.terms.get(tuple(mono), RF_ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
-
-    def homogeneous_degree(self) -> int:
-        """Degree of a homogeneous polynomial; raises on mixed degrees."""
-        degrees = {sum(m) for m in self.terms}
-        if len(degrees) > 1:
-            raise InhomogeneousError(f"mixed degrees {sorted(degrees)}")
-        return degrees.pop() if degrees else -1
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms)
-
-    def _check(self, other: "Polynomial") -> None:
+    def _check(self, other: "_SparseTerms") -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if self.n != other.n:
             raise VariableCountMismatchError(
                 f"operands in {self.n} and {other.n} variables"
             )
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, RF_ZERO) + coeff
+        for key, coeff in other.terms.items():
+            acc = terms.get(key, RF_ZERO) + coeff
             if acc:
-                terms[mono] = acc
+                terms[key] = acc
             else:
-                terms.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out.n, out.terms = self.n, terms
-        return out
+                terms.pop(key, None)
+        return self._wrap(self.n, terms)
 
-    def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+    def __neg__(self):
+        return self._wrap(self.n, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        self._check(other)
-        terms: dict[Monomial, RationalFunction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                acc = terms.get(mono, RF_ZERO) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out.n, out.terms = self.n, terms
-        return out
-
-    def __rmul__(self, other) -> "Polynomial":
-        return self.scale(other)
-
-    def scale(self, scalar) -> "Polynomial":
+    def scale(self, scalar):
         c = _coerce(scalar)
         if c is NotImplemented:
             return NotImplemented
         if not c:
-            return Polynomial.zero(self.n)
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
+            return self.zero(self.n)
+        return self._wrap(self.n, {k: v * c for k, v in self.terms.items()})
 
-    def __pow__(self, e: int) -> "Polynomial":
-        out = Polynomial.one(self.n)
-        for _ in range(e):
-            out = out * self
-        return out
+    def __rmul__(self, other):
+        return self.scale(other)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Polynomial)
+            type(other) is type(self)
             and self.n == other.n
             and self.terms == other.terms
         )
@@ -180,27 +141,18 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
 
-    def extended(self, n: int) -> "Polynomial":
-        """The same polynomial viewed in n >= self.n variables."""
-        if n < self.n:
-            raise VariableCountMismatchError(f"cannot shrink {self.n} -> {n}")
-        pad = (0,) * (n - self.n)
-        return Polynomial(n, {m + pad: c for m, c in self.terms.items()})
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, RationalFunction]]:
+    def sorted_terms(self) -> list:
         return sorted(self.terms.items(), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.sorted_terms():
-            factors = [
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(mono)
-                if e
-            ]
-            body = "*".join(factors)
+        for key, coeff in self.sorted_terms():
+            body = "*".join(self._factors(key))
             cs = str(coeff)
             if body:
                 if cs == "1":
@@ -224,7 +176,93 @@ class Polynomial:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"Polynomial({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class Polynomial(_SparseTerms):
+    """A sparse polynomial; terms map exponent tuples to nonzero scalars."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _fits(key: Monomial, n: int) -> bool:
+        return len(key) == n
+
+    @staticmethod
+    def _factors(key: Monomial) -> list[str]:
+        return _power_factors("x", key)
+
+    @staticmethod
+    def one(n: int) -> "Polynomial":
+        return Polynomial(n, {(0,) * n: RF_ONE})
+
+    @staticmethod
+    def variable(n: int, i: int) -> "Polynomial":
+        """The variable x_i (1-based)."""
+        if not 1 <= i <= n:
+            raise VariableCountMismatchError(f"variable index {i} out of 1..{n}")
+        exps = tuple(1 if j == i - 1 else 0 for j in range(n))
+        return Polynomial(n, {exps: RF_ONE})
+
+    @staticmethod
+    def monomial(n: int, exps: Iterable[int], coeff=RF_ONE) -> "Polynomial":
+        return Polynomial(n, {tuple(exps): _coerce(coeff)})
+
+    def coefficient(self, mono: Monomial) -> RationalFunction:
+        return self.terms.get(tuple(mono), RF_ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(sum(m) for m in self.terms)
+
+    def is_homogeneous(self) -> bool:
+        degrees = {sum(m) for m in self.terms}
+        return len(degrees) <= 1
+
+    def homogeneous_degree(self) -> int:
+        """Degree of a homogeneous polynomial; raises on mixed degrees."""
+        degrees = {sum(m) for m in self.terms}
+        if len(degrees) > 1:
+            raise InhomogeneousError(f"mixed degrees {sorted(degrees)}")
+        return degrees.pop() if degrees else -1
+
+    def leading_monomial(self) -> Monomial:
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self.terms)
+
+    def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
+        self._check(other)
+        terms: dict[Monomial, RationalFunction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                acc = terms.get(mono, RF_ZERO) + c1 * c2
+                if acc:
+                    terms[mono] = acc
+                else:
+                    terms.pop(mono, None)
+        return Polynomial._wrap(self.n, terms)
+
+    def __pow__(self, e: int) -> "Polynomial":
+        out = Polynomial.one(self.n)
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def extended(self, n: int) -> "Polynomial":
+        """The same polynomial viewed in n >= self.n variables."""
+        if n < self.n:
+            raise VariableCountMismatchError(f"cannot shrink {self.n} -> {n}")
+        pad = (0,) * (n - self.n)
+        return Polynomial(n, {m + pad: c for m, c in self.terms.items()})
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

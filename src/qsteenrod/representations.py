@@ -3,8 +3,10 @@
 Fillings use the French convention: rows are stored bottom-up and columns
 are read bottom-to-top, so the Specht polynomial of a filling is the product
 of the Vandermonde determinants of the variables listed along each column.
-Graded characters are computed exactly by expressing the permuted echelon
-basis of each slice over itself; the character table of S_n comes from the
+Graded characters are read off the echelon basis of each slice: once the
+slice is known to be stable under the adjacent transpositions, the trace of
+a permutation is the sum of the coefficients of the permuted basis vectors
+at their own leading monomials.  The character table of S_n comes from the
 Murnaghan-Nakayama rule on beta sets.
 """
 
@@ -207,15 +209,16 @@ class GradedCharacter:
 
 
 def _slice_trace(space: GradedSubspace, sigma: tuple[int, ...]) -> RationalFunction:
-    trace = None
+    """Trace of sigma on a stable slice, read off its echelon basis.
+
+    Each basis vector b has leading coefficient 1 and the other basis
+    vectors vanish at its leading monomial, so the coordinate of sigma(b)
+    on b is the coefficient of sigma(b) there.
+    """
+    trace = RF_ZERO
     for b in space.basis:
-        moved = permute_variables(b, sigma)
-        coords = space.coordinates(moved)
-        if coords is None:
-            raise NotStableError(space.degree, 0, "permuted vector left the span")
-        diag = moved.coefficient(b.leading_monomial())
-        trace = diag if trace is None else trace + diag
-    return trace if trace is not None else RF_ZERO
+        trace = trace + permute_variables(b, sigma).coefficient(b.leading_monomial())
+    return trace
 
 
 def _check_stable(space: GradedSubspace) -> None:

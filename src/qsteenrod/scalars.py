@@ -156,19 +156,27 @@ def qp_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return qp_trim(tuple(quot))
 
 
-def qp_pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, in Z[q]."""
+def qp_pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, int]:
+    """Pseudo-division in Z[q]: quot, rem, scale with scale * a = quot * b + rem.
+
+    scale = lc(b)^(deg a - deg b + 1) and deg rem < deg b; when deg a < deg b
+    it is (0, a, 1).
+    """
     da, db = qp_degree(a), qp_degree(b)
     lb = b[-1]
     rem = list(a)
+    quot = [0] * max(da - db + 1, 0)
+    scale = 1
     for i in range(da, db - 1, -1):
         c = rem[i]
         rem = [v * lb for v in rem]
+        quot = [v * lb for v in quot]
+        scale *= lb
         if c:
+            quot[i - db] = c
             for j, cb in enumerate(b):
                 rem[i - db + j] -= c * cb
-        rem[i] = 0
-    return qp_trim(tuple(rem))
+    return qp_trim(tuple(quot)), qp_trim(tuple(rem)), scale
 
 
 def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -187,7 +195,7 @@ def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         if len(pb) == 1:
             pa = QP_ONE
             break
-        r = qp_pseudo_rem(pa, pb)
+        _, r, _ = qp_pseudo_divmod(pa, pb)
         pa, pb = pb, qp_primitive(r)
     g = pa if pa[-1] > 0 else qp_neg(pa)
     return qp_scale(g, c)

@@ -142,20 +142,17 @@ def down_constraint_rows(
 
 
 @lru_cache(maxsize=None)
-def harm_component(
-    n: int, d: int, q: QParam, generator_degrees: tuple[int, ...] | None = None
-) -> GradedSubspace:
+def harm_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the harmonic polynomials at the given q."""
-    degrees = generator_degrees or generating_degrees(n, q)
     columns = monomials_of_degree(n, d)
-    rows = down_constraint_rows(n, d, q, degrees)
+    rows = down_constraint_rows(n, d, q, generating_degrees(n, q))
     vecs = null_space(rf_rows_to_int(rows), len(columns))
     return GradedSubspace(n, d, tuple(row_to_poly(v, n, columns) for v in vecs))
 
 
-def weighted_complement(v: GradedSubspace, weights=factorial_weight) -> GradedSubspace:
-    """Orthogonal complement of v in its degree slice (default weights K!)."""
-    polys = _complement(list(v.basis), v.n, v.degree, weights)
+def weighted_complement(v: GradedSubspace) -> GradedSubspace:
+    """Orthogonal complement of v in its degree slice under the K! product."""
+    polys = _complement(list(v.basis), v.n, v.degree, factorial_weight)
     return GradedSubspace(v.n, v.degree, tuple(polys))
 
 

@@ -38,11 +38,11 @@ from .scalars import (
     QP_ONE,
     RationalFunction,
     qp_content,
-    qp_degree,
     qp_eval,
     qp_mul,
     qp_neg,
     qp_primitive,
+    qp_pseudo_divmod,
     qp_scale,
     qp_str,
     qp_sub,
@@ -190,7 +190,7 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
                 if not entry:
                     continue
                 # pseudo-division of the row by the pivot row
-                quot, scale = _pseudo_quotient(entry, pivot)
+                quot, _, scale = qp_pseudo_divmod(entry, pivot)
                 matrix[i] = [
                     qp_sub(qp_scale(v, scale), qp_mul(quot, matrix[0][j]))
                     for j, v in enumerate(matrix[i])
@@ -202,7 +202,7 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
                 entry = matrix[0][j]
                 if not entry:
                     continue
-                quot, scale = _pseudo_quotient(entry, pivot)
+                quot, _, scale = qp_pseudo_divmod(entry, pivot)
                 for row in matrix:
                     row[j] = qp_sub(qp_scale(row[j], scale), qp_mul(quot, row[0]))
                 column = _content_free([row[j] for row in matrix])
@@ -221,25 +221,6 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
     if product[-1] < 0:
         product = qp_neg(product)
     return rank, product
-
-
-def _pseudo_quotient(entry: IntPoly, pivot: IntPoly) -> tuple[IntPoly, int]:
-    """quot, scale with scale * entry - quot * pivot of degree < deg(pivot)."""
-    de, dp = qp_degree(entry), qp_degree(pivot)
-    lp = pivot[-1]
-    rem = list(entry) + [0] * max(0, dp - de)
-    quot = [0] * max(de - dp + 1, 1)
-    scale = 1
-    for i in range(de, dp - 1, -1):
-        c = rem[i]
-        rem = [v * lp for v in rem]
-        quot = [v * lp for v in quot]
-        scale *= lp
-        if c:
-            quot[i - dp] += c
-            for j in range(dp + 1):
-                rem[i - dp + j] -= c * pivot[j]
-    return qp_trim(tuple(quot)), scale
 
 
 def _content_free(values: list[IntPoly]) -> list[IntPoly]:

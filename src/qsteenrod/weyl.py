@@ -1,7 +1,9 @@
 """The Weyl algebra on n variables in standard form.
 
 Elements are sums of standard monomials x^K d^L (all variables to the left of
-all derivatives) with coefficients in Q(q).  Composition normal-orders via
+all derivatives) with coefficients in Q(q).  A `WeylElement` is the sparse-term
+core of `polynomials` keyed by exponent pairs (K, L); only its product, the
+composition, is its own.  Composition normal-orders via
 the closed one-variable rule
 
     d^b x^c = sum_j  C(b, j) C(c, j) j!  x^(c-j) d^(b-j),
@@ -19,7 +21,7 @@ from itertools import permutations, product
 from typing import Iterable
 
 from .errors import VariableCountMismatchError
-from .polynomials import Monomial, Polynomial
+from .polynomials import Monomial, Polynomial, _power_factors, _SparseTerms
 from .scalars import RF_ONE, RF_ZERO, RationalFunction, _coerce
 
 WeylKey = tuple[Monomial, Monomial]
@@ -34,27 +36,20 @@ def _reorder_coeffs(b: int, c: int) -> tuple[int, ...]:
     )
 
 
-class WeylElement:
+class WeylElement(_SparseTerms):
     """A finite sum of standard monomials x^K d^L over Q(q)."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[WeylKey, RationalFunction] | None = None):
-        self.n = n
-        clean: dict[WeylKey, RationalFunction] = {}
-        if terms:
-            for (xs, ds), coeff in terms.items():
-                if len(xs) != n or len(ds) != n:
-                    raise VariableCountMismatchError(
-                        f"exponent pair {(xs, ds)} has length != {n}"
-                    )
-                if coeff:
-                    clean[(xs, ds)] = coeff
-        self.terms = clean
+    __slots__ = ()
 
     @staticmethod
-    def zero(n: int) -> "WeylElement":
-        return WeylElement(n)
+    def _fits(key: WeylKey, n: int) -> bool:
+        xs, ds = key
+        return len(xs) == n and len(ds) == n
+
+    @staticmethod
+    def _factors(key: WeylKey) -> list[str]:
+        xs, ds = key
+        return _power_factors("x", xs) + _power_factors("d", ds)
 
     @staticmethod
     def identity(n: int) -> "WeylElement":
@@ -85,65 +80,10 @@ class WeylElement:
         z = (0,) * p.n
         return WeylElement(p.n, {(m, z): c for m, c in p.terms.items()})
 
-    def _check(self, other: "WeylElement") -> None:
-        if self.n != other.n:
-            raise VariableCountMismatchError(
-                f"operands in {self.n} and {other.n} variables"
-            )
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = terms.get(key, RF_ZERO) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        out = WeylElement.__new__(WeylElement)
-        out.n, out.terms = self.n, terms
-        return out
-
-    def __neg__(self) -> "WeylElement":
-        out = WeylElement.__new__(WeylElement)
-        out.n = self.n
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
-
-    def scale(self, scalar) -> "WeylElement":
-        c = _coerce(scalar)
-        if c is NotImplemented:
-            return NotImplemented
-        if not c:
-            return WeylElement.zero(self.n)
-        out = WeylElement.__new__(WeylElement)
-        out.n = self.n
-        out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
-
     def __mul__(self, other) -> "WeylElement":
         if isinstance(other, WeylElement):
             return weyl_compose(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other) -> "WeylElement":
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def order(self) -> int:
         """Maximal derivative order of a term (filtration level); -1 if zero."""
@@ -172,48 +112,6 @@ class WeylElement:
             self.n, {k: c for k, c in self.terms.items() if sum(k[1]) == top}
         )
 
-    def sorted_terms(self) -> list[tuple[WeylKey, RationalFunction]]:
-        return sorted(self.terms.items(), reverse=True)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xs, ds), coeff in self.sorted_terms():
-            factors = [
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(xs)
-                if e
-            ]
-            factors += [
-                f"d{i + 1}" if e == 1 else f"d{i + 1}^{e}"
-                for i, e in enumerate(ds)
-                if e
-            ]
-            body = "*".join(factors)
-            cs = str(coeff)
-            if body:
-                if cs == "1":
-                    text = body
-                elif cs == "-1":
-                    text = f"-{body}"
-                else:
-                    if "+" in cs or "-" in cs[1:] or "/" in cs:
-                        cs = f"({cs})"
-                    text = f"{cs}*{body}"
-            else:
-                text = cs
-            if not parts:
-                parts.append(text)
-            elif text.startswith("-"):
-                parts.append(f"- {text[1:]}")
-            else:
-                parts.append(f"+ {text}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"WeylElement({self})"
-
 
 def weyl_compose(a: WeylElement, b: WeylElement) -> WeylElement:
     """Composition product, normal-ordered back to standard monomials."""
@@ -237,9 +135,7 @@ def weyl_compose(a: WeylElement, b: WeylElement) -> WeylElement:
                     terms[(xs, ds)] = acc
                 else:
                     terms.pop((xs, ds), None)
-    out = WeylElement.__new__(WeylElement)
-    out.n, out.terms = n, terms
-    return out
+    return WeylElement._wrap(n, terms)
 
 
 def weyl_apply(f: WeylElement, p: Polynomial) -> Polynomial:
@@ -268,9 +164,7 @@ def weyl_apply(f: WeylElement, p: Polynomial) -> Polynomial:
                 terms[target] = acc
             else:
                 terms.pop(target, None)
-    out = Polynomial.__new__(Polynomial)
-    out.n, out.terms = n, terms
-    return out
+    return Polynomial._wrap(n, terms)
 
 
 def weyl_dual(f: WeylElement) -> WeylElement:
@@ -302,31 +196,25 @@ def weyl_wedge(a: WeylElement, b: WeylElement) -> WeylElement:
 def orbit_sum(m, n: int | None = None):
     """Sum of the distinct images of a monomial under variable permutations.
 
-    Accepts a one-term WeylElement or Polynomial; returns the same kind.
-    Each distinct orbit element appears with coefficient 1 times the input
+    Accepts a one-term WeylElement or Polynomial; returns the same kind, in
+    n variables (default m.n) with the key padded by zero exponents.  Each
+    distinct orbit element appears with coefficient 1 times the input
     coefficient.
     """
-    if isinstance(m, Polynomial):
-        if len(m.terms) != 1:
-            raise ValueError("orbit sum of a polynomial needs a single monomial")
-        size = n or m.n
-        (mono, coeff), = m.terms.items()
-        mono = mono + (0,) * (size - len(mono))
-        seen = {tuple(mono[j] for j in perm) for perm in permutations(range(size))}
-        return Polynomial(size, {key: coeff for key in seen})
-    if isinstance(m, WeylElement):
-        if len(m.terms) != 1:
-            raise ValueError("orbit sum of a Weyl element needs a single monomial")
-        size = n or m.n
-        ((xs, ds), coeff), = m.terms.items()
-        xs = xs + (0,) * (size - len(xs))
-        ds = ds + (0,) * (size - len(ds))
-        seen = {
-            (tuple(xs[j] for j in perm), tuple(ds[j] for j in perm))
-            for perm in permutations(range(size))
-        }
-        return WeylElement(size, {key: coeff for key in seen})
-    raise TypeError(f"cannot take an orbit sum of {type(m).__name__}")
+    if not isinstance(m, (Polynomial, WeylElement)):
+        raise TypeError(f"cannot take an orbit sum of {type(m).__name__}")
+    if len(m.terms) != 1:
+        raise ValueError(f"orbit sum of a {type(m).__name__} needs a single monomial")
+    size = n or m.n
+    (key, coeff), = m.terms.items()
+    # a key as its exponent vectors: (mono,) for a polynomial, (xs, ds) else
+    flat = isinstance(m, Polynomial)
+    vectors = [v + (0,) * (size - len(v)) for v in ((key,) if flat else key)]
+    images = {
+        tuple(tuple(v[j] for j in perm) for v in vectors)
+        for perm in permutations(range(size))
+    }
+    return type(m)(size, {image[0] if flat else image: coeff for image in images})
 
 
 def steenrod_square(n: int, k: int) -> WeylElement:

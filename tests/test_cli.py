@@ -206,7 +206,9 @@ def _count_slice_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("line", ["verify -n 3 -d 4", "verify -n 2 -d 3 -q -2/3",
-                                  "character -n 3 -d 3"])
+                                  "character -n 3 -d 3",
+                                  "hilbert --kind harm -n 3 -d 4",
+                                  "hilbert --kind hit -n 3 -d 4 -q -1/2"])
 def test_warm_cache_builds_no_slice(line, tmp_path, capsys, monkeypatch):
     argv = line.split() + ["--format", "json", "--cache-dir", str(tmp_path / "warm")]
     assert main(argv) == 0

@@ -12,6 +12,7 @@ from qsteenrod.polynomials import (
     scalar_product,
 )
 from qsteenrod.scalars import RF_ONE, RF_Q
+from qsteenrod.weyl import WeylElement, orbit_sum
 
 
 def x(n, i):
@@ -83,3 +84,74 @@ def test_extended_keeps_terms():
 def test_no_monomials_of_negative_degree(n):
     assert monomials_of_degree(n, -1) == []
     assert monomials_of_degree(n, -3) == []
+
+
+# ---------------------------------------------------------------------------
+# The sparse-term core shared by Polynomial and WeylElement
+
+RATIO = (RF_Q + 1) / (RF_Q - 1)
+MIXED = -(RF_Q * RF_Q + 2) / (RF_Q * 3)
+
+
+def test_polynomial_never_equals_weyl_element():
+    assert Polynomial.zero(2) != WeylElement.zero(2)
+    assert WeylElement.zero(2) != Polynomial.zero(2)
+    # the same n and the same term dict, read as the two kinds
+    key = ((1, 0), (0, 1))
+    assert Polynomial(2, {key: RF_ONE}) != WeylElement(2, {key: RF_ONE})
+    assert Polynomial(2, {key: RF_ONE}).terms == WeylElement(2, {key: RF_ONE}).terms
+    assert Polynomial.zero(2) == Polynomial.zero(2)
+    assert WeylElement.zero(2) == WeylElement.zero(2)
+
+
+def test_polynomial_and_weyl_element_do_not_add():
+    with pytest.raises(TypeError):
+        Polynomial.zero(2) + WeylElement.zero(2)
+    with pytest.raises(TypeError):
+        WeylElement.identity(2) - Polynomial.one(2)
+
+
+def test_str_with_rational_coefficients_is_pinned():
+    p = Polynomial(
+        2,
+        {
+            (2, 0): RATIO,
+            (1, 1): MIXED,
+            (0, 2): RF_Q - 2,
+            (1, 0): RF_ONE / 2,
+            (0, 0): -RATIO,
+        },
+    )
+    assert str(p) == (
+        "(q + 1)/(q - 1)*x1^2 + (-q^2 - 2)/(3*q)*x1*x2 + (1/2)*x1"
+        " + (q - 2)*x2^2 + (-q - 1)/(q - 1)"
+    )
+    w = WeylElement(
+        2,
+        {
+            ((2, 0), (0, 1)): RATIO,
+            ((1, 1), (0, 0)): MIXED,
+            ((0, 0), (1, 1)): RF_Q - 2,
+            ((0, 1), (0, 0)): RF_ONE / 2,
+            ((0, 0), (0, 0)): -RATIO,
+        },
+    )
+    assert str(w) == (
+        "(q + 1)/(q - 1)*x1^2*d2 + (-q^2 - 2)/(3*q)*x1*x2 + (1/2)*x2"
+        " + (q - 2)*d1*d2 + (-q - 1)/(q - 1)"
+    )
+    assert repr(w) == f"WeylElement({w})"
+    assert repr(p) == f"Polynomial({p})"
+
+
+def test_orbit_sum_pads_to_more_variables():
+    m21 = orbit_sum(Polynomial.monomial(2, (2, 1), RF_Q), 3)
+    perms = {(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2)}
+    assert m21 == Polynomial(3, {m: RF_Q for m in perms})
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    euler = orbit_sum(WeylElement.monomial(1, (1,), (1,), 2), 3)
+    assert euler == WeylElement(3, {(e, e): RF_ONE + RF_ONE for e in units})
+    mixed = orbit_sum(WeylElement.monomial(2, (1, 0), (0, 1)), 3)
+    assert mixed == WeylElement(
+        3, {(a, b): RF_ONE for a in units for b in units if a != b}
+    )

@@ -219,6 +219,25 @@ def test_character_basis_independent():
     assert chi.degree(2)[(2, 1)] == trace.as_fraction()
 
 
+def test_character_reads_traces_off_the_basis(monkeypatch):
+    # coordinates serve only the stability check: one call per basis
+    # vector and adjacent transposition, none per conjugacy class
+    calls = []
+    coordinates = GradedSubspace.coordinates
+
+    def counting(self, p):
+        calls.append(self.degree)
+        return coordinates(self, p)
+
+    monkeypatch.setattr(GradedSubspace, "coordinates", counting)
+    for n, q in ((3, FORMAL), (4, QParam.rational(1))):
+        fam = [harm_component(n, d, q) for d in range(n * (n - 1) // 2 + 1)]
+        calls.clear()
+        graded_character(fam)
+        for space in fam:
+            assert calls.count(space.degree) == (n - 1) * space.dim, (n, space.degree)
+
+
 def test_not_stable_raises():
     line = GradedSubspace.from_spanning(2, 1, [x(2, 1)])
     with pytest.raises(NotStableError):

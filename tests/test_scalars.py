@@ -18,7 +18,11 @@ from qsteenrod.scalars import (
     qp_common_factor,
     qp_gcd,
     qp_lcm,
+    qp_degree,
     qp_mul,
+    qp_pseudo_divmod,
+    qp_scale,
+    qp_sub,
     rf_normalize,
 )
 
@@ -103,6 +107,15 @@ def test_common_factor_matches_prs_fold(values):
     a, b = values[0], values[-1]
     assert qp_gcd(a, b) == _prs_gcd(a, b)
     assert qp_gcd(b, a) == _prs_gcd(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys.filter(bool))
+def test_pseudo_divmod_identity(a, b):
+    quot, rem, scale = qp_pseudo_divmod(a, b)
+    assert qp_sub(qp_scale(a, scale), qp_mul(quot, b)) == rem
+    assert qp_degree(rem) < qp_degree(b)
+    assert scale == b[-1] ** max(qp_degree(a) - qp_degree(b) + 1, 0)
 
 
 def test_common_factor_edge_cases():

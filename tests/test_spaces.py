@@ -5,6 +5,7 @@ from functools import partial
 from qsteenrod import spaces
 from qsteenrod.linalg import (
     echelonize,
+    null_space,
     reduced_echelon,
     rf_rows_to_int,
     row_to_poly,
@@ -85,14 +86,22 @@ def test_orthogonality_duality():
                 assert harm.basis == comp.basis, (n, d, str(q))
 
 
+def down_kernel_basis(n, d, q, degrees):
+    """Oracle: the joint kernel of the D_k, k in degrees, on degree d."""
+    columns = monomials_of_degree(n, d)
+    rows = spaces.down_constraint_rows(n, d, q, degrees)
+    vecs = null_space(rf_rows_to_int(rows), len(columns))
+    return tuple(row_to_poly(v, n, columns) for v in vecs)
+
+
 def test_generator_economy():
     # kernel over {D1, D2} equals kernel over {D1..Dd} when q is not zero
     for q in (FORMAL, QParam.rational(1), QParam.rational(-1, 2)):
         for n in (2, 3):
             for d in range(1, 5):
                 lean = harm_component(n, d, q)
-                full = harm_component(n, d, q, generator_degrees=tuple(range(1, d + 1)))
-                assert lean.basis == full.basis
+                full = down_kernel_basis(n, d, q, tuple(range(1, d + 1)))
+                assert lean.basis == full
 
 
 def all_pk_hit_basis(n, d, q):
@@ -150,10 +159,10 @@ def test_hit_applies_only_the_generating_operators(monkeypatch):
 def test_harm_at_zero_needs_n_generators():
     # the documented pitfall: {D1,D2} alone is too small at q=0 once n > 2
     q0 = QParam.rational(0)
-    lean = harm_component(3, 3, q0, generator_degrees=(1, 2))
+    lean = down_kernel_basis(3, 3, q0, (1, 2))
     full = harm_component(3, 3, q0)
     assert full.dim == 1
-    assert lean.dim == 2
+    assert len(lean) == 2
 
 
 def test_specialization_domination():
