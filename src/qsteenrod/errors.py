@@ -40,12 +40,11 @@ class InvalidFillingError(QSteenrodError, ValueError):
 class NotStableError(QSteenrodError, ValueError):
     """A graded slice is not stable under the symmetric group action."""
 
-    def __init__(self, degree: int, transposition: int, message: str = ""):
+    def __init__(self, degree: int, transposition: int):
         self.degree = degree
         self.transposition = transposition
         super().__init__(
-            message
-            or f"slice of degree {degree} is not stable under s_{transposition}"
+            f"slice of degree {degree} is not stable under s_{transposition}"
         )
 
 

@@ -22,6 +22,7 @@ the kernel's own reduced echelon basis from the same single elimination.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -34,6 +35,7 @@ from .scalars import (
     RF_ONE,
     RF_ZERO,
     RationalFunction,
+    as_rf,
     qp_common_factor,
     qp_div_exact,
     qp_lcm,
@@ -191,7 +193,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(
-            tuple(_as_rf(v) for v in row) for row in entries
+            tuple(as_rf(v) for v in row) for row in entries
         )
         if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
             raise ValueError("entry grid does not match the declared shape")
@@ -229,16 +231,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _as_rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, int):
-        return RationalFunction.from_int(value)
-    if isinstance(value, Fraction):
-        return RationalFunction.from_fraction(value)
-    raise TypeError(f"cannot use {value!r} as a matrix entry")
-
-
 def kernel(m: Matrix) -> list[tuple[RationalFunction, ...]]:
     """Basis of the right null space of m over Q(q)."""
     return m.kernel()
@@ -267,6 +259,64 @@ def slice_images(
         poly_to_row(apply(Polynomial.monomial(n, m)), index)
         for m in monomials_of_degree(n, d)
     ]
+
+
+@dataclass(frozen=True)
+class GradedOperator:
+    """A graded linear map of fixed degree shift: blocks[d] is its matrix
+    ``slice_images`` on degree d.  Rows compare as dicts, so equal maps are
+    equal whatever order their entries were stored in.
+    """
+
+    n: int
+    shift: int
+    cap: int
+    blocks: tuple[tuple[SparseRFRow, ...], ...]
+
+    @staticmethod
+    def from_callable(n: int, shift: int, cap: int, func) -> "GradedOperator":
+        blocks = (tuple(slice_images(func, n, d, shift)) for d in range(cap + 1))
+        return GradedOperator(n, shift, cap, tuple(blocks))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.shift, self.cap))
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        d = p.homogeneous_degree()
+        if d < 0:
+            return p
+        if d > self.cap:
+            raise ValueError(f"degree {d} beyond the operator cap {self.cap}")
+        acc: SparseRFRow = {}
+        for mono, image in zip(monomials_of_degree(self.n, d), self.blocks[d]):
+            coeff = p.terms.get(mono)
+            if coeff:
+                for t, value in image.items():
+                    acc[t] = acc.get(t, RF_ZERO) + value * coeff
+        return row_to_poly(acc, self.n, monomials_of_degree(self.n, d + self.shift))
+
+    def is_zero(self) -> bool:
+        return not any(row for block in self.blocks for row in block)
+
+
+def operator_rows(ops: Sequence[GradedOperator]) -> tuple[list[SparseRFRow], int]:
+    """Each operator as one sparse row, and the number of columns.
+
+    The columns are the (degree, source, target) cells that any of the
+    operators fills, in sorted order, so a linear relation among the
+    operators is one among their rows.
+    """
+    by_cell = [
+        {
+            (d, s, t): value
+            for d, block in enumerate(op.blocks)
+            for s, row in enumerate(block)
+            for t, value in row.items()
+        }
+        for op in ops
+    ]
+    index = {cell: j for j, cell in enumerate(sorted(set().union(*by_cell)))}
+    return [{index[c]: v for c, v in op.items()} for op in by_cell], len(index)
 
 
 def transpose(rows: Sequence[SparseRFRow], ncols: int) -> list[SparseRFRow]:
@@ -318,7 +368,7 @@ def weighted_complement(
         w = weights(mono)
         if w <= 0:
             raise InvalidWeightError(f"weight of {mono} is {w}, must be positive")
-        weight_rf[mono] = _as_rf(w)
+        weight_rf[mono] = as_rf(w)
     rows: list[SparseRFRow] = []
     for p in basis:
         if not p:

@@ -18,7 +18,7 @@ import math
 from typing import Callable, Iterable
 
 from .errors import InhomogeneousError, VariableCountMismatchError
-from .scalars import RF_ONE, RF_ZERO, RationalFunction, _coerce
+from .scalars import RF_ONE, RF_ZERO, RationalFunction, _coerce, as_rf
 
 Monomial = tuple[int, ...]
 
@@ -42,6 +42,13 @@ def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     return out
 
 
+def _is_exponents(key, n: int) -> bool:
+    """Whether key is an exponent vector on n variables: n non-negative ints."""
+    return type(key) is tuple and len(key) == n and all(
+        type(e) is int and e >= 0 for e in key
+    )
+
+
 def _power_factors(var: str, exps: Monomial) -> list[str]:
     """Printed factors var_i^e of an exponent vector, one per nonzero e."""
     return [
@@ -56,7 +63,9 @@ class _SparseTerms:
 
     `terms` maps keys to nonzero scalars.  A subclass fixes the keys by two
     hooks: `_fits(key, n)` says whether a key belongs to n variables, and
-    `_factors(key)` lists the printed factors of its monomial.
+    `_factors(key)` lists the printed factors of its monomial.  The
+    constructor rejects a key that does not fit and embeds int and Fraction
+    coefficients; any other coefficient type raises `TypeError`.
     """
 
     __slots__ = ("n", "terms")
@@ -68,8 +77,10 @@ class _SparseTerms:
             for key, coeff in terms.items():
                 if not self._fits(key, n):
                     raise VariableCountMismatchError(
-                        f"exponent key {key} does not fit {n} variables"
+                        f"exponent key {key!r} does not fit {n} variables"
                     )
+                if type(coeff) is not RationalFunction:
+                    coeff = as_rf(coeff)
                 if coeff:
                     clean[key] = coeff
         self.terms = clean
@@ -160,9 +171,7 @@ class _SparseTerms:
                 elif cs == "-1":
                     text = f"-{body}"
                 else:
-                    if ("+" in cs or "-" in cs[1:] or "/" in cs) and not (
-                        cs.startswith("(") or cs.startswith("-(")
-                    ):
+                    if "+" in cs or "-" in cs[1:] or "/" in cs:
                         cs = f"({cs})"
                     text = f"{cs}*{body}"
             else:
@@ -186,7 +195,7 @@ class Polynomial(_SparseTerms):
 
     @staticmethod
     def _fits(key: Monomial, n: int) -> bool:
-        return len(key) == n
+        return _is_exponents(key, n)
 
     @staticmethod
     def _factors(key: Monomial) -> list[str]:
@@ -206,7 +215,7 @@ class Polynomial(_SparseTerms):
 
     @staticmethod
     def monomial(n: int, exps: Iterable[int], coeff=RF_ONE) -> "Polynomial":
-        return Polynomial(n, {tuple(exps): _coerce(coeff)})
+        return Polynomial(n, {tuple(exps): coeff})
 
     def coefficient(self, mono: Monomial) -> RationalFunction:
         return self.terms.get(tuple(mono), RF_ZERO)
@@ -278,7 +287,7 @@ def permute_variables(p: Polynomial, sigma: tuple[int, ...]) -> Polynomial:
         for i, e in enumerate(mono):
             new[sigma[i] - 1] = e
         terms[tuple(new)] = coeff
-    return Polynomial(p.n, terms)
+    return Polynomial._wrap(p.n, terms)
 
 
 def factorial_weight(mono: Monomial) -> int:
@@ -302,5 +311,5 @@ def scalar_product(
     for mono, coeff in p.terms.items():
         other = r.terms.get(mono)
         if other is not None:
-            acc = acc + coeff * other * _coerce(weigh(mono))
+            acc = acc + coeff * other * as_rf(weigh(mono))
     return acc

@@ -483,6 +483,13 @@ def _coerce(value) -> "RationalFunction":
     return NotImplemented
 
 
+def as_rf(value) -> "RationalFunction":
+    """value as a scalar of Q(q): an int or a Fraction is embedded."""
+    if (out := _coerce(value)) is NotImplemented:
+        raise TypeError(f"cannot use {value!r} as a Q(q) scalar")
+    return out
+
+
 RF_ZERO = RationalFunction(QP_ZERO, QP_ONE)
 RF_ONE = RationalFunction(QP_ONE, QP_ONE)
 RF_Q = RationalFunction(QP_Q, QP_ONE)

@@ -5,24 +5,26 @@ at v1 = v2 = 0: they square to zero, satisfy the braid relations, and
 commute with multiplication by symmetric polynomials.  Schubert polynomials
 are d_{sigma omega}(x^rho) with rho the staircase exponent.  The commutant
 search looks for graded degree -1 operators commuting with a generating set
-of Weyl operators, the machinery that fails for nonzero q.
+of Weyl operators, the machinery that fails for nonzero q.  Operators on
+graded slices (d_sigma, the generator matrices, the commutant's solutions)
+are `linalg.GradedOperator`s, re-exported here; `operator_in_span` compares
+ranks of their `linalg.operator_rows`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Sequence
 
 from .errors import NonReducedWordError
 from .linalg import (
+    GradedOperator,
     SparseRFRow,
     kernel_basis,
+    operator_rows,
     reduced_echelon,
     rf_rows_to_int,
-    slice_images,
     sparse_rank,
-    transpose,
 )
 from .polynomials import Monomial, Polynomial, monomials_of_degree
 from .scalars import QParam, RF_ZERO, RationalFunction
@@ -153,60 +155,6 @@ def schubert_polynomial(sigma: Perm, n: int | None = None) -> Polynomial:
     return apply_word(word, Polynomial.monomial(size, staircase_exponent(size)))
 
 
-@dataclass(frozen=True)
-class GradedOperator:
-    """A graded linear map of fixed degree shift given by per-degree blocks.
-
-    blocks[d] maps the degree-d monomial coefficient vector to the degree
-    d + shift one; monomials are indexed in descending lex order.
-    """
-
-    n: int
-    shift: int
-    cap: int
-    blocks: tuple[tuple[tuple[RationalFunction, ...], ...], ...]
-
-    @staticmethod
-    def from_callable(n: int, shift: int, cap: int, func) -> "GradedOperator":
-        blocks = []
-        for d in range(cap + 1):
-            images = slice_images(func, n, d, shift)
-            targets = len(monomials_of_degree(n, d + shift))
-            block = transpose(images, targets)
-            blocks.append(
-                tuple(
-                    tuple(row.get(j, RF_ZERO) for j in range(len(images)))
-                    for row in block
-                )
-            )
-        return GradedOperator(n, shift, cap, tuple(blocks))
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        d = p.homogeneous_degree()
-        if d < 0:
-            return p
-        if d > self.cap:
-            raise ValueError(f"degree {d} beyond the operator cap {self.cap}")
-        sources = monomials_of_degree(self.n, d)
-        targets = monomials_of_degree(self.n, d + self.shift)
-        block = self.blocks[d]
-        terms: dict[Monomial, RationalFunction] = {}
-        for r, tmono in enumerate(targets):
-            acc = RF_ZERO
-            for j, mono in enumerate(sources):
-                coeff = p.coefficient(mono)
-                if coeff and block[r][j]:
-                    acc = acc + block[r][j] * coeff
-            if acc:
-                terms[tmono] = acc
-        return Polynomial(self.n, terms)
-
-    def is_zero(self) -> bool:
-        return all(
-            not entry for block in self.blocks for row in block for entry in row
-        )
-
-
 def d_sigma(word: Sequence[int], n: int, cap: int) -> GradedOperator:
     """Blocks of d_{j1}...d_{jk} for a reduced word; rejects unreduced words."""
     if not is_reduced(word, n):
@@ -251,35 +199,35 @@ def commutant_search(
     for g, h in zip(gens, rights):
         if g.grading() != h.grading():
             raise ValueError("paired generators must share their grading")
+        if g.grading() < 1:
+            raise ValueError("generators must raise the degree")
     dims = [len(monomials_of_degree(n, d)) for d in range(cap + 1)]
-    offsets = [0] * (cap + 1)
-    total = 0
-    for d in range(1, cap + 1):
-        offsets[d] = total
-        total += dims[d - 1] * dims[d]
-
-    def unknown(d: int, r: int, c: int) -> int:
-        return offsets[d] + r * dims[d] + c
-
-    # Matrices of the generators on each slice; with H = G the same matrix
-    # serves as G on degree d - 1 and as H on that degree one step earlier.
-    images: dict[tuple[int, int], list[SparseRFRow]] = {}
-
-    def on_slice(op: WeylElement, d: int) -> list[SparseRFRow]:
-        key = (id(op), d)
-        if key not in images:
-            images[key] = slice_images(partial(weyl_apply, op), n, d, op.grading())
-        return images[key]
+    # The unknowns: the cells (d, r, c) of T, r a target of degree d - 1 and
+    # c a source of degree d; their list order is the column order.
+    cells = [
+        (d, r, c)
+        for d in range(1, cap + 1)
+        for r in range(dims[d - 1])
+        for c in range(dims[d])
+    ]
+    column = {cell: j for j, cell in enumerate(cells)}
+    # Matrices of the generators up to the degree the equations reach, one
+    # per operator; with H = G the same matrix serves on both sides.
+    matrices: dict[int, GradedOperator] = {}
+    for op in (*gens, *rights):
+        if id(op) not in matrices:
+            k = op.grading()
+            matrices[id(op)] = GradedOperator.from_callable(
+                n, k, cap - k, partial(weyl_apply, op)
+            )
 
     equations: list[SparseRFRow] = []
     for gen, right in zip(gens, rights):
         k = gen.grading()
-        for d in range(0, cap + 1):
-            if d + k > cap:
-                continue
+        for d in range(0, cap - k + 1):
             # G on degree d - 1 (nothing when d = 0) and H on degree d
-            left_images = on_slice(gen, d - 1)
-            right_images = on_slice(right, d)
+            left_images = matrices[id(gen)].blocks[d - 1] if d else ()
+            right_images = matrices[id(right)].blocks[d]
             # for each source monomial of degree d and each target monomial of
             # degree d + k - 1: (G T - T H) entry must vanish
             for j in range(dims[d]):
@@ -287,33 +235,26 @@ def commutant_search(
                 # G o T: T sends source j to degree d-1 basis, then G acts
                 for r, img in enumerate(left_images):
                     for t, coeff in img.items():
-                        row_acc.setdefault(t, {})[unknown(d, r, j)] = coeff
+                        row_acc.setdefault(t, {})[column[d, r, j]] = coeff
                 # T o H: H sends source j to degree d+k, then T_{d+k} acts
                 for c, coeff in right_images[j].items():
                     for t in range(dims[d + k - 1]):
                         cell = row_acc.setdefault(t, {})
-                        idx = unknown(d + k, t, c)
+                        idx = column[d + k, t, c]
                         cell[idx] = cell.get(idx, RF_ZERO) - coeff
-                for t, cells in row_acc.items():
-                    row = {idx: v for idx, v in cells.items() if v}
+                for t, entries in row_acc.items():
+                    row = {idx: v for idx, v in entries.items() if v}
                     if row:
                         equations.append(row)
     int_rows = rf_rows_to_int(equations)
-    pivots, reduced = reduced_echelon(int_rows, total)
-    vecs = kernel_basis(pivots, reduced, total)
+    pivots, reduced = reduced_echelon(int_rows, len(cells))
     solutions = []
-    for vec in vecs:
-        blocks = []
-        for d in range(cap + 1):
-            rows_d = dims[d - 1] if d >= 1 else 0
-            block = tuple(
-                tuple(
-                    vec.get(unknown(d, r, c), RF_ZERO) for c in range(dims[d])
-                )
-                for r in range(rows_d)
-            )
-            blocks.append(block)
-        solutions.append(GradedOperator(n, -1, cap, tuple(blocks)))
+    for vec in kernel_basis(pivots, reduced, len(cells)):
+        blocks = [[{} for _ in range(dims[d] if d else 0)] for d in range(cap + 1)]
+        for j, value in vec.items():
+            d, r, c = cells[j]
+            blocks[d][c][r] = value
+        solutions.append(GradedOperator(n, -1, cap, tuple(map(tuple, blocks))))
     return solutions
 
 
@@ -321,23 +262,6 @@ def operator_in_span(
     op: GradedOperator, basis: Sequence[GradedOperator]
 ) -> bool:
     """Whether op lies in the span of a family of graded operators."""
-
-    def flatten(o: GradedOperator) -> SparseRFRow:
-        out: SparseRFRow = {}
-        idx = 0
-        for block in o.blocks:
-            for row in block:
-                for entry in row:
-                    if entry:
-                        out[idx] = entry
-                    idx += 1
-        return out
-
-    rows = [flatten(b) for b in basis]
-    target = flatten(op)
-    ncols = 0
-    for block in op.blocks:
-        for row in block:
-            ncols += len(row)
-    base_rank = sparse_rank(rf_rows_to_int(rows), ncols)
-    return sparse_rank(rf_rows_to_int(rows + [target]), ncols) == base_rank
+    rows, ncols = operator_rows([*basis, op])
+    int_rows = rf_rows_to_int(rows)
+    return sparse_rank(int_rows, ncols) == sparse_rank(int_rows[:-1], ncols)

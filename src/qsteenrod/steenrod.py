@@ -16,16 +16,15 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from .errors import NonSymmetricError
-from .polynomials import Monomial, Polynomial, monomials_of_degree
+from .polynomials import Monomial, Polynomial
 from .scalars import QParam, RF_ONE, RF_ZERO, RationalFunction
 from .weyl import WeylElement, orbit_sum, weyl_apply, weyl_compose
 from .linalg import (
+    GradedOperator,
     kernel_basis,
-    poly_to_row,
+    operator_rows,
     reduced_echelon,
     rf_rows_to_int,
-    slice_images,
-    SparseRFRow,
     transpose,
 )
 
@@ -166,43 +165,27 @@ class OperatorSpanRank:
     relations: tuple[dict[Partition, RationalFunction], ...]
 
 
-def operator_span_rank(
-    n: int,
-    d: int,
-    q: QParam,
-    probe_cap: int,
-    probe: Polynomial | None = None,
-) -> OperatorSpanRank:
+def operator_span_rank(n: int, d: int, q: QParam, probe_cap: int) -> OperatorSpanRank:
     """Linear rank of {P_lambda : lambda |- d} acting on polynomials.
 
-    By default the operators are probed on every monomial of degree at most
-    probe_cap; passing an explicit probe polynomial restricts the test to its
-    orbit of images (e.g. probe on x_1 only), which can only shrink the rank.
+    The operators are probed on every monomial of degree at most probe_cap:
+    each becomes one row over the (degree, source, target) cells that any of
+    them fills (``linalg.operator_rows``), and the relations are the kernel
+    of the transpose, one equation per cell.
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    if probe_cap < d and probe is None:
+    if probe_cap < d:
         raise ValueError("probe cap must be at least the operator degree")
     lams = tuple(partitions_of(d))
-    operators = [make_p_lambda(n, lam, q) for lam in lams]
-    # Per probe source, the images under every operator transposed: each row
-    # is one target coefficient across the operators, whose dependencies we
-    # want.
-    rows: list[SparseRFRow] = []
-    if probe is not None:
-        targets = monomials_of_degree(n, probe.homogeneous_degree() + d)
-        index = {m: j for j, m in enumerate(targets)}
-        images = [poly_to_row(weyl_apply(op, probe), index) for op in operators]
-        rows = transpose(images, len(targets))
-    else:
-        for e in range(probe_cap + 1):
-            ntargets = len(monomials_of_degree(n, e + d))
-            per_op = [
-                slice_images(partial(weyl_apply, op), n, e, d) for op in operators
-            ]
-            for images in zip(*per_op):
-                rows.extend(transpose(images, ntargets))
-    int_rows = rf_rows_to_int(r for r in rows if r)
+    operators = [
+        GradedOperator.from_callable(
+            n, d, probe_cap, partial(weyl_apply, make_p_lambda(n, lam, q))
+        )
+        for lam in lams
+    ]
+    rows, ncells = operator_rows(operators)
+    int_rows = rf_rows_to_int(transpose(rows, ncells))
     pivots, reduced = reduced_echelon(int_rows, len(lams))
     vecs = kernel_basis(pivots, reduced, len(lams))
     relations = tuple(

@@ -21,8 +21,8 @@ from itertools import permutations, product
 from typing import Iterable
 
 from .errors import VariableCountMismatchError
-from .polynomials import Monomial, Polynomial, _power_factors, _SparseTerms
-from .scalars import RF_ONE, RF_ZERO, RationalFunction, _coerce
+from .polynomials import Monomial, Polynomial, _is_exponents, _power_factors, _SparseTerms
+from .scalars import RF_ONE, RF_ZERO, RationalFunction
 
 WeylKey = tuple[Monomial, Monomial]
 
@@ -43,8 +43,9 @@ class WeylElement(_SparseTerms):
 
     @staticmethod
     def _fits(key: WeylKey, n: int) -> bool:
-        xs, ds = key
-        return len(xs) == n and len(ds) == n
+        return type(key) is tuple and len(key) == 2 and all(
+            _is_exponents(part, n) for part in key
+        )
 
     @staticmethod
     def _factors(key: WeylKey) -> list[str]:
@@ -72,7 +73,7 @@ class WeylElement(_SparseTerms):
 
     @staticmethod
     def monomial(n: int, xs: Iterable[int], ds: Iterable[int], coeff=RF_ONE) -> "WeylElement":
-        return WeylElement(n, {(tuple(xs), tuple(ds)): _coerce(coeff)})
+        return WeylElement(n, {(tuple(xs), tuple(ds)): coeff})
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> "WeylElement":

@@ -351,9 +351,9 @@ PINNED_REPORTS = [
     ("schubert -n 3",
      "2f11608335d36a75b23a23f19873e202ae91a776deb7e97cf1349d495a11a20a"),
     ("harm -n 4 -d 6 --basis",
-     "f1a346faf3e599d31fe65d6e9d06a0d8bd065df2bab4a586bdc09f8bb83c8f5f"),
+     "927d103046ddbe6012e3b5a03aafa1c9bd142cae8e1085667e22d1020dadf5d2"),
     ("harm -n 5 -d 5 --basis",
-     "933c0d7191eaa936f4e1df597039c09f6425c879f3fb8b9f54f08332b1fd360a"),
+     "aba816aee2d42d9f7fe5465cf048b4c43e5cc936268ef343973c52ece5767235"),
     ("harm -n 5 -d 5 -q 1 --basis",
      "651537c5aa8279f1dcd59c57eb38e0988fc82f3fa6a6947a9eaa65567834f454"),
 ]

@@ -1,5 +1,7 @@
 """Sparse polynomial arithmetic and the factorial scalar product."""
 
+from fractions import Fraction
+
 import pytest
 
 from qsteenrod.errors import VariableCountMismatchError
@@ -96,12 +98,31 @@ MIXED = -(RF_Q * RF_Q + 2) / (RF_Q * 3)
 def test_polynomial_never_equals_weyl_element():
     assert Polynomial.zero(2) != WeylElement.zero(2)
     assert WeylElement.zero(2) != Polynomial.zero(2)
-    # the same n and the same term dict, read as the two kinds
+    # a Weyl key is no exponent key of a polynomial
     key = ((1, 0), (0, 1))
-    assert Polynomial(2, {key: RF_ONE}) != WeylElement(2, {key: RF_ONE})
-    assert Polynomial(2, {key: RF_ONE}).terms == WeylElement(2, {key: RF_ONE}).terms
+    with pytest.raises(VariableCountMismatchError):
+        Polynomial(2, {key: RF_ONE})
     assert Polynomial.zero(2) == Polynomial.zero(2)
     assert WeylElement.zero(2) == WeylElement.zero(2)
+
+
+def test_keys_and_coefficients_are_validated():
+    for bad in [((1, 0), (0, 1)), (-1, 3), (1, 0, 0), (1.0, 0), (True, 0)]:
+        with pytest.raises(VariableCountMismatchError):
+            Polynomial(2, {bad: RF_ONE})
+    for bad in [(1, 0), ((1, 0), (0,)), ((1, 0), (0, -1)), ((1, 0), (0, 1), (0, 0))]:
+        with pytest.raises(VariableCountMismatchError):
+            WeylElement(2, {bad: RF_ONE})
+    with pytest.raises(TypeError):
+        Polynomial.monomial(2, (1, 0), 1.5)
+    with pytest.raises(TypeError):
+        WeylElement.monomial(2, (1, 0), (0, 1), 1.5)
+    # ints and Fractions are embedded in Q(q)
+    p = Polynomial(2, {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 0})
+    assert p.terms == {(1, 0): RF_ONE + RF_ONE, (0, 1): RF_ONE / 2}
+    assert p + p == Polynomial(2, {(1, 0): 4, (0, 1): 1})
+    w = WeylElement.monomial(2, (1, 0), (0, 1), Fraction(-3, 4))
+    assert w.terms == {((1, 0), (0, 1)): -RF_ONE * 3 / 4}
 
 
 def test_polynomial_and_weyl_element_do_not_add():
@@ -123,7 +144,7 @@ def test_str_with_rational_coefficients_is_pinned():
         },
     )
     assert str(p) == (
-        "(q + 1)/(q - 1)*x1^2 + (-q^2 - 2)/(3*q)*x1*x2 + (1/2)*x1"
+        "((q + 1)/(q - 1))*x1^2 + ((-q^2 - 2)/(3*q))*x1*x2 + (1/2)*x1"
         " + (q - 2)*x2^2 + (-q - 1)/(q - 1)"
     )
     w = WeylElement(
@@ -137,7 +158,7 @@ def test_str_with_rational_coefficients_is_pinned():
         },
     )
     assert str(w) == (
-        "(q + 1)/(q - 1)*x1^2*d2 + (-q^2 - 2)/(3*q)*x1*x2 + (1/2)*x2"
+        "((q + 1)/(q - 1))*x1^2*d2 + ((-q^2 - 2)/(3*q))*x1*x2 + (1/2)*x2"
         " + (q - 2)*d1*d2 + (-q - 1)/(q - 1)"
     )
     assert repr(w) == f"WeylElement({w})"

@@ -1,6 +1,7 @@
 """Divided differences, Schubert polynomials, commutant machinery."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,10 +9,12 @@ from qsteenrod import schubert
 from qsteenrod.errors import NonReducedWordError
 from qsteenrod.linalg import echelonize
 from qsteenrod.polynomials import Polynomial, monomials_of_degree
-from qsteenrod.scalars import QParam, rf_normalize
+from qsteenrod.scalars import QParam, RationalFunction, rf_normalize
 from qsteenrod.schubert import (
+    GradedOperator,
     all_perms,
     all_reduced_words,
+    apply_word,
     commutant_search,
     compose_perms,
     d_sigma,
@@ -26,6 +29,7 @@ from qsteenrod.schubert import (
 )
 from qsteenrod.spaces import StaircaseSet
 from qsteenrod.steenrod import make_pk
+from qsteenrod.weyl import WeylElement
 
 FORMAL = QParam.formal()
 
@@ -146,6 +150,11 @@ def test_commutant_zero_generators_formal():
     assert commutant_search(2, 4, FORMAL) == []
 
 
+def test_commutant_rejects_generators_that_do_not_raise_degree():
+    with pytest.raises(ValueError):
+        commutant_search(2, 3, FORMAL, [WeylElement.identity(2)])
+
+
 def test_commutant_single_variable_oracle():
     """Direct 1-variable solve: t_{d+1} (1 + dq) = t_d (1 + (d-1) q)... forces 0."""
     # the constraint chain starts at degree 0 where the target side is empty,
@@ -163,21 +172,10 @@ def test_commutant_at_zero_contains_divided_differences():
 def test_commutant_cap_soundness():
     """Enlarging the cap never enlarges the solution space at the smaller cap."""
 
-    def restricted(ops, cap):
-        return {
-            tuple(
-                tuple(tuple(entry for entry in row) for row in op.blocks[d])
-                for d in range(cap + 1)
-            )
-            for op in ops
-        }
-
     q0 = QParam.rational(0)
     small = commutant_search(2, 3, q0)
     large = commutant_search(2, 4, q0)
     # solutions at the larger cap restrict to solutions at the smaller cap
-    from qsteenrod.schubert import GradedOperator
-
     for op in large:
         cut = GradedOperator(2, -1, 3, op.blocks[:4])
         assert operator_in_span(cut, small)
@@ -202,3 +200,101 @@ def test_commutant_applies_each_generator_once_per_monomial(monkeypatch):
     monkeypatch.setattr(schubert, "weyl_apply", counting)
     commutant_search(2, 6, QParam.rational(0))
     assert len(calls) == len(set(calls)) == 36
+
+
+@pytest.mark.parametrize("n, cap", [(3, 4), (4, 6)])
+def test_d_sigma_agrees_with_apply_word(n, cap):
+    monos = [m for d in range(cap + 1) for m in monomials_of_degree(n, d)]
+    for sigma in all_perms(n):
+        for word in all_reduced_words(sigma):
+            op = d_sigma(word, n, cap)
+            for mono in monos:
+                p = Polynomial.monomial(n, mono)
+                assert op.apply(p) == apply_word(word, p)
+
+
+def _random_operator(rng, n, shift, cap):
+    blocks = []
+    for d in range(cap + 1):
+        targets = len(monomials_of_degree(n, d + shift))
+        blocks.append(
+            tuple(
+                {
+                    t: RationalFunction.from_int(rng.choice((-2, -1, 1, 3)))
+                    for t in range(targets)
+                    if rng.random() < 0.3
+                }
+                for _ in monomials_of_degree(n, d)
+            )
+        )
+    return GradedOperator(n, shift, cap, tuple(blocks))
+
+
+def _combination(ops, coeffs):
+    n, shift, cap = ops[0].n, ops[0].shift, ops[0].cap
+    blocks = []
+    for d in range(cap + 1):
+        rows = []
+        for s in range(len(ops[0].blocks[d])):
+            acc = {}
+            for op, c in zip(ops, coeffs):
+                for t, v in op.blocks[d][s].items():
+                    acc[t] = acc.get(t, 0) + v * c
+            rows.append({t: v for t, v in acc.items() if v})
+        blocks.append(tuple(rows))
+    return GradedOperator(n, shift, cap, tuple(blocks))
+
+
+def _dense(op):
+    """Every cell of op in (degree, target, source) order, zeros included."""
+    out = []
+    for d in range(op.cap + 1):
+        sources = len(monomials_of_degree(op.n, d))
+        for t in range(len(monomials_of_degree(op.n, d + op.shift))):
+            for s in range(sources):
+                value = op.blocks[d][s].get(t)
+                out.append(value.as_fraction() if value else Fraction(0))
+    return out
+
+
+def _brute_rank(vectors):
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_operator_in_span_agrees_with_brute_force_rank():
+    rng = random.Random(7)
+    seen = set()
+    for trial in range(24):
+        shift = rng.choice((-1, 1))
+        family = [_random_operator(rng, 2, shift, 3) for _ in range(rng.randint(1, 3))]
+        if trial % 2:
+            op = _combination(family, [rng.randint(-2, 2) for _ in family])
+        else:
+            op = _random_operator(rng, 2, shift, 3)
+        base = _brute_rank(_dense(f) for f in family)
+        expected = _brute_rank(_dense(f) for f in [*family, op]) == base
+        assert operator_in_span(op, family) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_graded_operator_equality_ignores_insertion_order():
+    one, two = RationalFunction.from_int(1), RationalFunction.from_int(2)
+    a = GradedOperator(2, 1, 1, (({0: one, 1: two},), ({0: two}, {2: one})))
+    b = GradedOperator(2, 1, 1, (({1: two, 0: one},), ({0: two}, {2: one})))
+    assert list(a.blocks[0][0]) != list(b.blocks[0][0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    c = GradedOperator(2, 1, 1, (({0: one, 1: one},), ({0: two}, {2: one})))
+    assert a != c

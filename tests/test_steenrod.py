@@ -273,11 +273,3 @@ def test_operator_span_rank_examples():
 
     r1 = operator_span_rank(1, 1, FORMAL, probe_cap=2)
     assert r1.rank == 1
-
-
-def test_operator_span_rank_single_probe():
-    probe = Polynomial.variable(2, 1)
-    r = operator_span_rank(2, 3, FORMAL, probe_cap=5, probe=probe)
-    assert r.rank <= 3
-    full = operator_span_rank(2, 3, FORMAL, probe_cap=5)
-    assert r.rank <= full.rank
