@@ -193,7 +193,6 @@ def serialize_subspace(v: GradedSubspace) -> dict:
     return {
         "n": v.n,
         "degree": v.degree,
-        "order": v.order,
         "basis": [serialize_polynomial(p) for p in v.basis],
     }
 
@@ -202,7 +201,7 @@ def deserialize_subspace(data: dict) -> GradedSubspace:
     basis = tuple(
         deserialize_polynomial(data["n"], entry) for entry in data["basis"]
     )
-    return GradedSubspace(data["n"], data["degree"], basis, data["order"])
+    return GradedSubspace(data["n"], data["degree"], basis)
 
 
 def _payload_checksum(payload: dict) -> str:

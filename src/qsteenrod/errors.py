@@ -25,10 +25,6 @@ class NonSymmetricError(QSteenrodError, ValueError):
     """A symmetric polynomial was required."""
 
 
-class InvalidWeightError(QSteenrodError, ValueError):
-    """A weight function returned a non-positive value."""
-
-
 class NonReducedWordError(QSteenrodError, ValueError):
     """A word in the elementary transpositions is not reduced."""
 

@@ -18,16 +18,21 @@ the exact elimination runs as it is.
 ``kernel_basis`` reads one kernel vector per free column off a reduced
 echelon form; ``null_space`` does so with the columns reversed, which yields
 the kernel's own reduced echelon basis from the same single elimination.
+
+Polynomials enter this linear algebra through one slice layout: column j of
+a degree-d slice is the j-th monomial of ``monomials_of_degree(n, d)``
+(descending lex).  ``slice_rows`` turns polynomials into rows over it, and
+they leave through one of two solvers: ``slice_span`` (the reduced echelon
+basis of the span of the rows) or ``slice_kernel`` (that of their kernel).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import modular
-from .errors import InhomogeneousError, InvalidWeightError, VariableCountMismatchError
+from .errors import InhomogeneousError, VariableCountMismatchError
 from .polynomials import Monomial, Polynomial, monomials_of_degree
 from .scalars import (
     IntPoly,
@@ -236,12 +241,44 @@ def kernel(m: Matrix) -> list[tuple[RationalFunction, ...]]:
     return m.kernel()
 
 
-def poly_to_row(p: Polynomial, index: dict[Monomial, int]) -> SparseRFRow:
-    return {index[m]: c for m, c in p.terms.items()}
-
-
 def row_to_poly(row: SparseRFRow, n: int, columns: list[Monomial]) -> Polynomial:
     return Polynomial(n, {columns[j]: c for j, c in row.items()})
+
+
+def slice_rows(polys: Iterable[Polynomial], n: int, d: int) -> list[SparseRFRow]:
+    """Coordinates of each poly over the degree-d monomials, in one pass.
+
+    Column j is the j-th monomial of ``monomials_of_degree(n, d)``; a zero
+    poly gives an empty row, which elimination skips.
+    """
+    index = {m: j for j, m in enumerate(monomials_of_degree(n, d))}
+    rows: list[SparseRFRow] = []
+    for p in polys:
+        if p.n != n:
+            raise VariableCountMismatchError(f"a polynomial in {p.n} variables, not {n}")
+        try:
+            rows.append({index[m]: c for m, c in p.terms.items()})
+        except KeyError:
+            raise InhomogeneousError(f"a polynomial outside degree {d}") from None
+    return rows
+
+
+def slice_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
+    """Reduced echelon basis of the span of rows of the degree-d slice.
+
+    Columns follow descending lex order, so leading monomials of the output
+    strictly decrease and the result is canonical for the span.
+    """
+    columns = monomials_of_degree(n, d)
+    _, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
+    return [row_to_poly(row, n, columns) for row in reduced]
+
+
+def slice_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
+    """Reduced echelon basis of the right kernel of rows of the degree-d slice."""
+    columns = monomials_of_degree(n, d)
+    vecs = null_space(rf_rows_to_int(rows), len(columns))
+    return [row_to_poly(v, n, columns) for v in vecs]
 
 
 def slice_images(
@@ -254,11 +291,8 @@ def slice_images(
     """
     if d < 0 or d + shift < 0:
         return []
-    index = {m: j for j, m in enumerate(monomials_of_degree(n, d + shift))}
-    return [
-        poly_to_row(apply(Polynomial.monomial(n, m)), index)
-        for m in monomials_of_degree(n, d)
-    ]
+    images = (apply(Polynomial.monomial(n, m)) for m in monomials_of_degree(n, d))
+    return slice_rows(images, n, d + shift)
 
 
 @dataclass(frozen=True)
@@ -329,52 +363,9 @@ def transpose(rows: Sequence[SparseRFRow], ncols: int) -> list[SparseRFRow]:
 
 
 def echelonize(polys: Sequence[Polynomial]) -> list[Polynomial]:
-    """Reduced echelon basis of the span of homogeneous polynomials.
-
-    Columns follow descending lex order, so leading monomials of the output
-    strictly decrease and the result is canonical for the span.
-    """
+    """Reduced echelon basis of the span of homogeneous polynomials."""
     live = [p for p in polys if p]
     if not live:
         return []
-    n, degree = live[0].n, live[0].homogeneous_degree()
-    for p in live:
-        if p.n != n:
-            raise VariableCountMismatchError("mixed variable counts")
-        if p.homogeneous_degree() != degree:
-            raise InhomogeneousError("mixed degrees in one graded slice")
-    columns = monomials_of_degree(n, degree)
-    index = {m: j for j, m in enumerate(columns)}
-    rows = rf_rows_to_int(poly_to_row(p, index) for p in live)
-    _, reduced = reduced_echelon(rows, len(columns))
-    return [row_to_poly(row, n, columns) for row in reduced]
-
-
-def weighted_complement(
-    basis: Sequence[Polynomial],
-    n: int,
-    degree: int,
-    weights: Callable[[Monomial], int | Fraction],
-) -> list[Polynomial]:
-    """Orthogonal complement inside the full degree slice.
-
-    The bilinear form is diagonal on monomials, <x^K, x^K> = weights(K); the
-    complement of a d-dimensional subspace has codimension d.
-    """
-    columns = monomials_of_degree(n, degree)
-    index = {m: j for j, m in enumerate(columns)}
-    weight_rf: dict[Monomial, RationalFunction] = {}
-    for mono in columns:
-        w = weights(mono)
-        if w <= 0:
-            raise InvalidWeightError(f"weight of {mono} is {w}, must be positive")
-        weight_rf[mono] = as_rf(w)
-    rows: list[SparseRFRow] = []
-    for p in basis:
-        if not p:
-            continue
-        if p.n != n or p.homogeneous_degree() != degree:
-            raise InhomogeneousError("complement input outside the degree slice")
-        rows.append({index[m]: c * weight_rf[m] for m, c in p.terms.items()})
-    vecs = null_space(rf_rows_to_int(rows), len(columns))
-    return [row_to_poly(v, n, columns) for v in vecs]
+    n, d = live[0].n, live[0].homogeneous_degree()
+    return slice_span(slice_rows(live, n, d), n, d)

@@ -10,7 +10,10 @@ P_k is multiplication by the power sum p_k, which Newton's identities put
 in the ideal generated by p_1..p_n.  The harmonic space is the joint
 kernel of the down operators D_k on degree d for the same k.  Harmonics
 are also the orthogonal complement of the hits under the factorial-weighted
-scalar product, which the test suite cross-checks degree by degree.
+scalar product <x^K, x^K> = K!, for which P_k and D_k are adjoint; the test
+suite cross-checks this degree by degree.  Every slice is read through the
+slice layout of `linalg`: hits are a `slice_span`, harmonics and
+K!-complements a `slice_kernel`.
 """
 
 from __future__ import annotations
@@ -20,17 +23,14 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Sequence
 
-from .errors import InhomogeneousError
 from .linalg import (
     SparseRFRow,
     echelonize,
-    null_space,
-    reduced_echelon,
-    rf_rows_to_int,
-    row_to_poly,
     slice_images,
+    slice_kernel,
+    slice_rows,
+    slice_span,
     transpose,
-    weighted_complement as _complement,
 )
 from .polynomials import (
     Monomial,
@@ -38,7 +38,7 @@ from .polynomials import (
     factorial_weight,
     monomials_of_degree,
 )
-from .scalars import QParam, RationalFunction
+from .scalars import QParam, RationalFunction, as_rf
 from .steenrod import dual_pk, make_pk, make_p_lambda, partitions_of
 from .weyl import weyl_apply
 
@@ -50,16 +50,11 @@ class GradedSubspace:
     n: int
     degree: int
     basis: tuple[Polynomial, ...]
-    order: str = "lex"
 
     @staticmethod
     def from_spanning(n: int, degree: int, polys) -> "GradedSubspace":
-        for p in polys:
-            if p and (p.n != n or p.homogeneous_degree() != degree):
-                raise InhomogeneousError(
-                    f"spanning set does not sit in degree {degree} of {n} variables"
-                )
-        return GradedSubspace(n, degree, tuple(echelonize(list(polys))))
+        basis = slice_span(slice_rows(polys, n, degree), n, degree)
+        return GradedSubspace(n, degree, tuple(basis))
 
     @property
     def dim(self) -> int:
@@ -118,9 +113,7 @@ def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
         if k > d:
             continue
         rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
-    columns = monomials_of_degree(n, d)
-    _, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
-    return GradedSubspace(n, d, tuple(row_to_poly(r, n, columns) for r in reduced))
+    return GradedSubspace(n, d, tuple(slice_span(rows, n, d)))
 
 
 def down_constraint_rows(
@@ -144,16 +137,23 @@ def down_constraint_rows(
 @lru_cache(maxsize=None)
 def harm_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the harmonic polynomials at the given q."""
-    columns = monomials_of_degree(n, d)
     rows = down_constraint_rows(n, d, q, generating_degrees(n, q))
-    vecs = null_space(rf_rows_to_int(rows), len(columns))
-    return GradedSubspace(n, d, tuple(row_to_poly(v, n, columns) for v in vecs))
+    return GradedSubspace(n, d, tuple(slice_kernel(rows, n, d)))
 
 
 def weighted_complement(v: GradedSubspace) -> GradedSubspace:
-    """Orthogonal complement of v in its degree slice under the K! product."""
-    polys = _complement(list(v.basis), v.n, v.degree, factorial_weight)
-    return GradedSubspace(v.n, v.degree, tuple(polys))
+    """Orthogonal complement of v in its degree slice under the K! product.
+
+    w is orthogonal to v exactly when it is in the kernel of the basis rows
+    of v scaled column by column by the weight K! of the column's monomial.
+    """
+    n, d = v.n, v.degree
+    weights = [as_rf(factorial_weight(m)) for m in monomials_of_degree(n, d)]
+    rows = [
+        {j: c * weights[j] for j, c in row.items()}
+        for row in slice_rows(v.basis, n, d)
+    ]
+    return GradedSubspace(n, d, tuple(slice_kernel(rows, n, d)))
 
 
 @lru_cache(maxsize=None)

@@ -22,14 +22,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import PoleError
-from .linalg import (
-    SparseIntRow,
-    clear_denominators,
-    poly_to_row,
-    rf_rows_to_int,
-    row_to_poly,
-    sparse_rank,
-)
+from .linalg import SparseIntRow, rf_rows_to_int, row_to_poly, slice_rows, sparse_rank
 from .polynomials import Polynomial, monomials_of_degree, scalar_product
 from .scalars import (
     FORMAL,
@@ -71,15 +64,7 @@ def specialize_poly(p: Polynomial, q0: Fraction) -> Polynomial:
     return Polynomial(p.n, terms)
 
 
-def content_free_basis(v: GradedSubspace) -> list[Polynomial]:
-    """A basis over Z[q] that stays a basis under every rational specialization.
-
-    Gram-Schmidt orthogonalization (coordinatewise product, no q in the
-    weights) followed by clearing denominators and stripping the content of
-    each vector: pairwise orthogonality survives evaluation at real q0 and a
-    content-free vector cannot vanish, so the specialized family is always
-    linearly independent.
-    """
+def _content_free_rows(v: GradedSubspace) -> list[SparseIntRow]:
     if v.dim == 0:
         raise ValueError("content-free basis of the zero space")
     ones = lambda mono: 1
@@ -91,12 +76,22 @@ def content_free_basis(v: GradedSubspace) -> list[Polynomial]:
                 scalar_product(b, prev, ones) / scalar_product(prev, prev, ones)
             )
         orthogonal.append(w)
+    return rf_rows_to_int(slice_rows(orthogonal, v.n, v.degree))
+
+
+def content_free_basis(v: GradedSubspace) -> list[Polynomial]:
+    """A basis over Z[q] that stays a basis under every rational specialization.
+
+    Gram-Schmidt orthogonalization (coordinatewise product, no q in the
+    weights) followed by clearing denominators and stripping the content of
+    each vector: pairwise orthogonality survives evaluation at real q0 and a
+    content-free vector cannot vanish, so the specialized family is always
+    linearly independent.
+    """
     columns = monomials_of_degree(v.n, v.degree)
-    index = {m: j for j, m in enumerate(columns)}
-    rows = [clear_denominators(poly_to_row(w, index)) for w in orthogonal]
     return [
         row_to_poly({j: RationalFunction.make(c) for j, c in r.items()}, v.n, columns)
-        for r in rows
+        for r in _content_free_rows(v)
     ]
 
 
@@ -107,17 +102,10 @@ def specialized_dimension(n: int, d: int, q0: Fraction) -> tuple[int, int]:
     exceed it exactly at the bad values of q.
     """
     generic = harm_component(n, d, QParam.formal())
-    if generic.dim == 0:
-        first = 0
-    else:
-        basis = content_free_basis(generic)
-        specialized = [specialize_poly(p, q0) for p in basis]
-        columns = monomials_of_degree(n, d)
-        index = {m: j for j, m in enumerate(columns)}
-        rf_rows = [
-            {index[m]: c for m, c in p.terms.items()} for p in specialized
-        ]
-        first = sparse_rank(rf_rows_to_int(rf_rows), len(columns))
+    first = 0
+    if generic.dim:
+        rows = evaluate_rows(_content_free_rows(generic), q0)
+        first = sparse_rank(rows, len(monomials_of_degree(n, d)))
     direct = harm_component(n, d, QParam(q0)).dim
     return first, direct
 

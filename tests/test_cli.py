@@ -134,6 +134,28 @@ def test_cache_hit_and_corruption(tmp_path):
     assert cache.load(key) is None
 
 
+def test_cache_store_writes_no_order_field(tmp_path):
+    cache = SubspaceCache(str(tmp_path))
+    key = cache_key("harm", 2, 1, FORMAL)
+    cache.store(key, harm_component(2, 1, FORMAL))
+    with open(cache._path(key), "r", encoding="utf-8") as fh:
+        payload = json.load(fh)["payload"]
+    assert sorted(payload) == ["basis", "degree", "n"]
+
+
+def test_cache_file_with_order_field_still_hits(tmp_path):
+    # files stored before the field was dropped carry "order": "lex" in
+    # the payload their checksum covers
+    cache = SubspaceCache(str(tmp_path))
+    space = harm_component(2, 3, QParam.rational(-2, 3))
+    key = cache_key("harm", 2, 3, QParam.rational(-2, 3))
+    payload = dict(serialize_subspace(space), order="lex")
+    wrapper = {"key": key, "payload": payload, "checksum": _payload_checksum(payload)}
+    with open(cache._path(key), "w", encoding="utf-8") as fh:
+        json.dump(wrapper, fh, sort_keys=True)
+    assert cache.load(key) == space
+
+
 @pytest.mark.parametrize("content", ["[]", "null", "{key}", "{checksummed}"])
 def test_cache_file_of_wrong_shape_is_a_miss(content, tmp_path):
     cache = SubspaceCache(str(tmp_path))
@@ -356,6 +378,11 @@ PINNED_REPORTS = [
      "aba816aee2d42d9f7fe5465cf048b4c43e5cc936268ef343973c52ece5767235"),
     ("harm -n 5 -d 5 -q 1 --basis",
      "651537c5aa8279f1dcd59c57eb38e0988fc82f3fa6a6947a9eaa65567834f454"),
+    # K!-complement bases (tqharm)
+    ("truncated -n 3 -d 6 --basis",
+     "c22f344febda4884b071ec0dbfdb31759b20ef9d22f9070ebe91809cdea5e124"),
+    ("truncated -n 4 -d 4 -q -1/2 --basis",
+     "bd0cba811c90f499cb6db8a3824f7ebe67aab089cb1ec6cd08a029489fc08c58"),
 ]
 
 

@@ -1,14 +1,13 @@
-"""Exact elimination: echelon forms, kernels, weighted complements, slices."""
+"""Exact elimination: echelon forms, kernels, the slice layout."""
 
 import hashlib
-import random
 from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qsteenrod import linalg, spaces
-from qsteenrod.errors import InhomogeneousError, InvalidWeightError
+from qsteenrod.errors import InhomogeneousError, VariableCountMismatchError
 from qsteenrod.linalg import (
     Matrix,
     echelonize,
@@ -16,13 +15,12 @@ from qsteenrod.linalg import (
     kernel,
     kernel_basis,
     null_space,
-    poly_to_row,
     reduced_echelon,
     rf_rows_to_int,
     row_to_poly,
     slice_images,
+    slice_rows,
     transpose,
-    weighted_complement,
 )
 from qsteenrod.polynomials import Polynomial, factorial_weight, monomials_of_degree
 from qsteenrod.scalars import (
@@ -67,6 +65,18 @@ def test_echelonize_line_over_field():
 def test_echelonize_rejects_mixed_degrees():
     with pytest.raises(InhomogeneousError):
         echelonize([x(2, 1), x(2, 1) * x(2, 2)])
+
+
+def test_slice_rows_layout_and_checks():
+    columns = monomials_of_degree(3, 2)
+    p = x(3, 1) * x(3, 2) + RF_Q * x(3, 3) ** 2
+    rows = slice_rows(iter([p, Polynomial.zero(3)]), 3, 2)
+    assert rows == [{columns.index((1, 1, 0)): RF_ONE, columns.index((0, 0, 2)): RF_Q}, {}]
+    assert row_to_poly(rows[0], 3, columns) == p
+    with pytest.raises(VariableCountMismatchError):
+        slice_rows([x(2, 1) ** 2], 3, 2)
+    with pytest.raises(InhomogeneousError):
+        slice_rows([x(3, 1) ** 2, x(3, 1)], 3, 2)
 
 
 def test_echelonize_idempotent():
@@ -134,47 +144,6 @@ def test_kernel_vectors_annihilate(rows, cols, data):
             for a, v in zip(row, vec):
                 acc = acc + a * v
             assert acc == RF_ZERO
-
-
-def test_weighted_complement_symmetric_line():
-    comp = weighted_complement([x(2, 1) + x(2, 2)], 2, 1, lambda m: 1)
-    assert comp == [x(2, 1) - x(2, 2)]
-
-
-def test_weighted_complement_of_full_space_is_zero():
-    full = [Polynomial.monomial(2, m) for m in monomials_of_degree(2, 2)]
-    assert weighted_complement(full, 2, 2, lambda m: 1) == []
-
-
-def test_weighted_complement_univariate():
-    assert weighted_complement([x(1, 1) ** 2], 1, 2, lambda m: 1) == []
-
-
-def test_weighted_complement_rejects_bad_weight():
-    with pytest.raises(InvalidWeightError):
-        weighted_complement([x(2, 1)], 2, 1, lambda m: 0)
-
-
-def test_weighted_complement_involution():
-    rng = random.Random(7)
-    from qsteenrod.polynomials import factorial_weight
-
-    for n, d in [(2, 2), (2, 3), (3, 2), (3, 4)]:
-        monos = monomials_of_degree(n, d)
-        polys = []
-        for _ in range(rng.randint(1, len(monos) - 1)):
-            terms = {
-                m: rf_normalize((rng.randint(-4, 4), rng.randint(-2, 2)), (1,))
-                for m in monos
-            }
-            polys.append(Polynomial(n, terms))
-        v = echelonize(polys)
-        if not v:
-            continue
-        comp = weighted_complement(v, n, d, factorial_weight)
-        assert len(comp) == len(monos) - len(v)
-        back = weighted_complement(comp, n, d, factorial_weight)
-        assert back == v
 
 
 def test_slice_images_shape_and_empty_slices():
@@ -261,9 +230,8 @@ def _kernel_then_echelonize(rows, ncols):
     """The two-pass reference: free-column kernel, then its reduced echelon form."""
     pivots, reduced = reduced_echelon(rows, ncols)
     columns = monomials_of_degree(2, ncols - 1)
-    index = {m: j for j, m in enumerate(columns)}
     polys = [row_to_poly(v, 2, columns) for v in kernel_basis(pivots, reduced, ncols)]
-    return len(pivots), [poly_to_row(p, index) for p in echelonize(polys)]
+    return len(pivots), slice_rows(echelonize(polys), 2, ncols - 1)
 
 
 @settings(max_examples=200, deadline=None)

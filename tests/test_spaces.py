@@ -1,18 +1,22 @@
 """Hit and harmonic slices, Hilbert series, staircases, truncated variants."""
 
+import random
 from functools import partial
+from math import comb
 
-from qsteenrod import spaces
+import pytest
+
+from qsteenrod import linalg, spaces
+from qsteenrod.errors import InhomogeneousError, VariableCountMismatchError
 from qsteenrod.linalg import (
     echelonize,
-    null_space,
     reduced_echelon,
-    rf_rows_to_int,
-    row_to_poly,
     slice_images,
+    slice_kernel,
+    slice_span,
 )
-from qsteenrod.polynomials import Polynomial, monomials_of_degree
-from qsteenrod.scalars import QParam, RF_ONE
+from qsteenrod.polynomials import Polynomial, monomials_of_degree, scalar_product
+from qsteenrod.scalars import QParam, RF_ONE, RF_ZERO, rf_normalize
 from qsteenrod.spaces import (
     GradedSubspace,
     StaircaseSet,
@@ -88,10 +92,7 @@ def test_orthogonality_duality():
 
 def down_kernel_basis(n, d, q, degrees):
     """Oracle: the joint kernel of the D_k, k in degrees, on degree d."""
-    columns = monomials_of_degree(n, d)
-    rows = spaces.down_constraint_rows(n, d, q, degrees)
-    vecs = null_space(rf_rows_to_int(rows), len(columns))
-    return tuple(row_to_poly(v, n, columns) for v in vecs)
+    return tuple(slice_kernel(spaces.down_constraint_rows(n, d, q, degrees), n, d))
 
 
 def test_generator_economy():
@@ -109,9 +110,7 @@ def all_pk_hit_basis(n, d, q):
     rows = []
     for k in range(1, d + 1):
         rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
-    columns = monomials_of_degree(n, d)
-    _, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
-    return tuple(row_to_poly(r, n, columns) for r in reduced)
+    return tuple(slice_span(rows, n, d))
 
 
 def test_hit_generator_economy():
@@ -140,7 +139,8 @@ def test_hit_applies_only_the_generating_operators(monkeypatch):
         return reduced_echelon(rows, ncols)
 
     monkeypatch.setattr(spaces, "make_pk", recording_pk)
-    monkeypatch.setattr(spaces, "reduced_echelon", recording_echelon)
+    # the span solver looks reduced_echelon up in linalg
+    monkeypatch.setattr(linalg, "reduced_echelon", recording_echelon)
     build = hit_component.__wrapped__  # bypass the slice cache
     build(4, 6, FORMAL)
     assert applied == [1, 2]
@@ -330,3 +330,75 @@ def test_full_component():
         (1, 1),
         (0, 2),
     ]
+
+
+def test_from_spanning_reads_an_iterator_once():
+    polys = [x(2, 1), x(2, 2)]
+    assert GradedSubspace.from_spanning(2, 1, (p for p in polys)).dim == 2
+    assert GradedSubspace.from_spanning(2, 1, iter(polys)) == (
+        GradedSubspace.from_spanning(2, 1, polys)
+    )
+
+
+def test_from_spanning_rejects_polys_outside_the_slice():
+    with pytest.raises(VariableCountMismatchError):
+        GradedSubspace.from_spanning(2, 1, [x(3, 1)])
+    with pytest.raises(InhomogeneousError):
+        GradedSubspace.from_spanning(2, 1, [x(2, 1), x(2, 1) * x(2, 2)])
+
+
+def test_weighted_complement_symmetric_line():
+    comp = weighted_complement(GradedSubspace.from_spanning(2, 1, [x(2, 1) + x(2, 2)]))
+    assert comp.basis == (x(2, 1) - x(2, 2),)
+
+
+def test_weighted_complement_of_full_space_is_zero():
+    assert weighted_complement(full_component(2, 2)).dim == 0
+
+
+def test_weighted_complement_univariate():
+    line = GradedSubspace.from_spanning(1, 2, [x(1, 1) ** 2])
+    assert weighted_complement(line).dim == 0
+
+
+def _random_subspace(rng, n, d):
+    """Span of a random number of random polys with coefficients a + b q."""
+    monos = monomials_of_degree(n, d)
+    polys = []
+    for _ in range(rng.randint(0, len(monos))):
+        terms = {
+            m: rf_normalize((rng.randint(-4, 4), rng.randint(-2, 2)), (1,))
+            for m in rng.sample(monos, rng.randint(1, len(monos)))
+        }
+        polys.append(Polynomial(n, terms))
+    return GradedSubspace.from_spanning(n, d, polys)
+
+
+def test_weighted_complement_involution():
+    rng = random.Random(7)
+    for n, d in [(2, 2), (2, 3), (3, 2), (3, 4)]:
+        v = _random_subspace(rng, n, d)
+        comp = weighted_complement(v)
+        assert comp.dim == len(monomials_of_degree(n, d)) - v.dim
+        assert weighted_complement(comp) == v
+
+
+def test_weighted_complement_is_orthogonal_under_the_factorial_product():
+    # oracle: scalar_product, whose default weight is K!; unit weights fail
+    # this from degree 2 on
+    rng = random.Random(2024)
+    spaces_to_check = [
+        _random_subspace(rng, n, d)
+        for n in (1, 2, 3)
+        for d in range(5)
+        for _ in range(3)
+    ]
+    spaces_to_check += [
+        hit_component(n, d, q) for q in Q_VALUES for n in (1, 2, 3) for d in range(5)
+    ]
+    for v in spaces_to_check:
+        comp = weighted_complement(v)
+        assert v.dim + comp.dim == comb(v.n + v.degree - 1, v.degree)
+        for w in comp.basis:
+            for b in v.basis:
+                assert scalar_product(w, b) == RF_ZERO, (v.n, v.degree)

@@ -348,3 +348,32 @@ def test_q0_is_no_bad_value_with_two_generators(n, d):
     for root, dim_at_root in report.jumps:
         assert dim_at_root == harm_component(n, d, QParam(root)).dim
         assert dim_at_root > report.generic_harm_dim
+
+
+def test_specialized_dimension_agrees_with_the_specialize_poly_oracle():
+    # first component: the formal harmonic dimension, and the rank of the
+    # content-free basis specialized coefficient by coefficient (the oracle
+    # of criterion 17); probes: the jump roots, 0 and three seeded values
+    rng = random.Random(71)
+    probes = jumps = 0
+    for n, top in ((2, 5), (3, 5), (4, 4)):
+        for d in range(1, top + 1):
+            generic = harm_component(n, d, FORMAL)
+            basis = content_free_basis(generic) if generic.dim else []
+            columns = monomials_of_degree(n, d)
+            points = list(bad_q_candidates(n, d).rational_roots) + [Fraction(0)]
+            points += [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)
+            ]
+            for q0 in points:
+                first, direct = specialized_dimension(n, d, q0)
+                rows = [
+                    [specialize_poly(p, q0).coefficient(m) for m in columns]
+                    for p in basis
+                ]
+                oracle = Matrix(len(rows), len(columns), rows).rank() if rows else 0
+                assert first == generic.dim == oracle, (n, d, q0)
+                assert direct >= first
+                probes += 1
+                jumps += direct > first
+    assert (probes, jumps) == (71, 17)
