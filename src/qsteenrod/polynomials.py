@@ -279,14 +279,17 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return a * b
 
 
+def permute_monomial(mono: Monomial, sigma: tuple[int, ...]) -> Monomial:
+    """The exponents of a monomial after x_i -> x_sigma(i)."""
+    new = [0] * len(mono)
+    for i, e in enumerate(mono):
+        new[sigma[i] - 1] = e
+    return tuple(new)
+
+
 def permute_variables(p: Polynomial, sigma: tuple[int, ...]) -> Polynomial:
     """Apply the substitution x_i -> x_sigma(i) (sigma in one-line notation)."""
-    terms: dict[Monomial, RationalFunction] = {}
-    for mono, coeff in p.terms.items():
-        new = [0] * p.n
-        for i, e in enumerate(mono):
-            new[sigma[i] - 1] = e
-        terms[tuple(new)] = coeff
+    terms = {permute_monomial(mono, sigma): c for mono, c in p.terms.items()}
     return Polynomial._wrap(p.n, terms)
 
 

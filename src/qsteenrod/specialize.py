@@ -12,6 +12,19 @@ is a unimodular diagonalization with the same determinantal divisors.
 The rational roots come from the linear factors of the gcd over Z;
 the remaining factors are split into irreducibles.  A root is a bad value
 only if the harmonic space there is larger than the generic one.
+
+Ranks at the roots are read off the diagonal.  Every step of the
+diagonalization (swaps, nonzero integer scalings, adding polynomial
+multiples, dividing by an integer content) has a constant nonzero
+determinant, so U M V = diag(e_1, ..., e_r) + 0 with U, V invertible over
+Q[q].  Evaluating at a rational q0 keeps U(q0), V(q0) invertible, so
+rank M(q0) is the number of e_i with e_i(q0) != 0.  The constraint stack
+of `bad_q_candidates` is S_n-equivariant and is diagonalized one isotypic
+block at a time (`isotypic`); its rank at q0 is the sum over the blocks of
+f_lam times that count.  One mod-P rank of the whole stack, run to
+completion (`modular.rank_mod_p`), is compared with the generic rank and
+with the rank at each root; where they differ, an exact elimination
+decides, and a rank that disagrees with it raises.
 """
 
 from __future__ import annotations
@@ -21,7 +34,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from . import modular
 from .errors import PoleError
+from .isotypic import block_rows, blocks
 from .linalg import SparseIntRow, rf_rows_to_int, row_to_poly, slice_rows, sparse_rank
 from .polynomials import Polynomial, monomials_of_degree, scalar_product
 from .scalars import (
@@ -145,26 +160,21 @@ def _pivot(matrix: list[list[IntPoly]]) -> tuple[int, int] | None:
     return best
 
 
-def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
-    """Generic rank r and the primitive gcd of all r x r minors.
+def _diagonalize(rows: Sequence[SparseIntRow], ncols: int) -> list[IntPoly]:
+    """The nonzero diagonal of a unimodular diagonalization over Q[q].
 
-    Diagonalizes by row/column operations that are unimodular over Q[q]
-    (swaps, integer scalings, adding polynomial multiples); the product of
-    the resulting diagonal entries is the top determinantal divisor up to a
-    rational unit, reported as a primitive integer polynomial with positive
-    leading coefficient.
-
+    Row and column operations only: swaps, nonzero integer scalings, adding
+    polynomial multiples of one row (column) to another, and dividing a row
+    (column) by the integer content of its entries.  Each has a constant
+    nonzero determinant, so U M V = diag(entries) + 0 with U and V
+    invertible over Q[q], and also after evaluation at any rational point.
     Pivots come from _pivot (least q-degree, then coefficient bits, then
-    Markowitz count).  Determinantal divisors are invariant under unimodular
-    operations, so any pivot order gives the same rank and primitive gcd;
-    the rule only keeps the entries small and the banded constraint stacks
-    sparse.
+    Markowitz count); the order decides only how large the entries grow.
     """
     matrix = [
         [row.get(j, ()) for j in range(ncols)] for row in rows if row
     ]
-    product: IntPoly = QP_ONE
-    rank = 0
+    diagonal: list[IntPoly] = []
     while matrix and matrix[0]:
         spot = _pivot(matrix)
         if spot is None:
@@ -202,13 +212,46 @@ def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> tuple[int, IntPoly]:
                 break
             nxt = _pivot(matrix)
             _swap_to_front(matrix, *nxt)
-        product = qp_primitive(qp_mul(product, matrix[0][0]))
-        rank += 1
+        diagonal.append(matrix[0][0])
         matrix = [row[1:] for row in matrix[1:]]
         matrix = [row for row in matrix if any(row)]
-    if product[-1] < 0:
-        product = qp_neg(product)
-    return rank, product
+    return diagonal
+
+
+class MinorGcd(tuple):
+    """The pair (rank, gcd) of `minor_gcd`; ``diagonal`` holds the nonzero
+    diagonal entries that both are read from.  Pairs compare as tuples: the
+    diagonal depends on the pivot order, the pair does not.
+    """
+
+    diagonal: tuple[IntPoly, ...]
+
+    def __new__(cls, diagonal: Sequence[IntPoly]) -> "MinorGcd":
+        product: IntPoly = QP_ONE
+        for entry in diagonal:
+            product = qp_primitive(qp_mul(product, entry))
+        if product[-1] < 0:
+            product = qp_neg(product)
+        pair = super().__new__(cls, (len(diagonal), product))
+        pair.diagonal = tuple(diagonal)
+        return pair
+
+    def rank_at(self, q0: Fraction) -> int:
+        """Rank of the matrix at q = q0: its diagonal entries nonzero there."""
+        return sum(1 for entry in self.diagonal if qp_eval(entry, q0))
+
+
+def minor_gcd(rows: Sequence[SparseIntRow], ncols: int) -> MinorGcd:
+    """Generic rank r and the primitive gcd of all r x r minors.
+
+    The product of the diagonal of `_diagonalize` is the top determinantal
+    divisor up to a rational unit, reported as a primitive integer
+    polynomial with positive leading coefficient.  Determinantal divisors
+    are invariant under unimodular operations, so any pivot order gives the
+    same rank and primitive gcd; the pivot rule only keeps the entries small
+    and the banded constraint stacks sparse.
+    """
+    return MinorGcd(_diagonalize(rows, ncols))
 
 
 def _content_free(values: list[IntPoly]) -> list[IntPoly]:
@@ -313,18 +356,45 @@ def evaluate_rows(
     return out
 
 
+def _certify_rank(
+    rows: list[SparseIntRow], ncols: int, rank: int, root: Fraction | None = None
+) -> None:
+    """Raise unless rank is that of rows over Q(q), or at q = root if given.
+
+    One completed mod-P rank, at a seeded point or at the root, is a lower
+    bound that almost always equals the rank; when it does not, an exact
+    elimination decides.
+    """
+    if modular.rank_mod_p(rows, ncols, point=root) == rank:
+        return
+    exact = sparse_rank(rows if root is None else evaluate_rows(rows, root), ncols)
+    if exact != rank:
+        where = "generic" if root is None else f"at q = {root}"
+        raise AssertionError(
+            f"rank mismatch {where}: elimination {exact}, diagonalization {rank}"
+        )
+
+
 def bad_q_candidates(
     n: int, d: int, extended_generators: bool = False
 ) -> BadQReport:
     """Rational q where the degree-d harmonic space grows beyond generic.
 
-    Builds the integer matrix of the stacked down-operator constraints
-    (degrees 1 and 2; all degrees up to d with the paranoia flag), takes the
-    gcd of its maximal minors, and extracts the rational roots.  Every root
-    is verified to drop the rank of the stack.  The harmonic dimension at a
-    root is counted with the generators it needs there (generating_degrees,
-    D_1..D_n at q = 0), which the stack may lack; only roots where that
-    dimension exceeds the generic one are reported, with it, as jumps.
+    Builds the integer matrix M of the stacked down-operator constraints
+    (degrees 1 and 2; all degrees up to d with the paranoia flag) and
+    diagonalizes it one S_n-isotypic block M . B_lam at a time (`isotypic`,
+    `minor_gcd`): rank M is the sum of f_lam times the block ranks, and the
+    gcd of its maximal minors the product of the block gcds to the powers
+    f_lam.  The rational roots of that gcd are the candidates, and the rank
+    of M at each is read off the block diagonals (see the module docstring).
+    One completed mod-P rank of the whole stack checks the generic rank and
+    each rank at a root (`_certify_rank`), and every root must drop the
+    rank.  The harmonic dimension at a root is counted with the generators
+    it needs there (generating_degrees, D_1..D_n at q = 0), which the stack
+    may lack: their rows join the stack, whose rank at the root is
+    eliminated exactly block by block and checked the same way.  Only roots
+    where that dimension exceeds the generic one are reported, with it, as
+    jumps.
     """
     if d < 1:
         raise ValueError("degree must be positive")
@@ -332,25 +402,31 @@ def bad_q_candidates(
     if extended_generators:
         degrees = tuple(range(1, d + 1))
     rows, ncols = harmonic_constraint_rows(n, d, degrees)
-    rank = sparse_rank(rows, ncols)
-    smith_rank, gcd = minor_gcd(rows, ncols)
-    if smith_rank != rank:
-        raise AssertionError(
-            f"rank mismatch: elimination {rank}, diagonalization {smith_rank}"
-        )
+    parts = [(f, minor_gcd(*block_rows(rows, n, d, lam))) for lam, f in blocks(n)]
+    rank = sum(f * block_rank for f, (block_rank, _) in parts)
+    _certify_rank(rows, ncols, rank)
+    gcd = QP_ONE  # primitive factors with positive leading coefficients
+    for f, (_, block_gcd) in parts:
+        for _ in range(f):
+            gcd = qp_mul(gcd, block_gcd)
     roots, cofactor = rational_roots(gcd)
     jumps = []
     for root in roots:
-        specialized = evaluate_rows(rows, root)
-        dropped = sparse_rank(specialized, ncols)
+        dropped = sum(f * block.rank_at(root) for f, block in parts)
+        _certify_rank(rows, ncols, dropped, root)
         if dropped >= rank:
             raise AssertionError(
                 f"root {root} of the minor gcd did not drop the rank"
             )
         extra = [k for k in generating_degrees(n, QParam(root)) if k not in degrees]
         if extra:
-            specialized += evaluate_rows(harmonic_constraint_rows(n, d, extra)[0], root)
-            dropped = sparse_rank(specialized, ncols)
+            stack = rows + harmonic_constraint_rows(n, d, extra)[0]
+            specialized = evaluate_rows(stack, root)
+            dropped = sum(
+                f * sparse_rank(*block_rows(specialized, n, d, lam))
+                for lam, f in blocks(n)
+            )
+            _certify_rank(stack, ncols, dropped, root)
         if dropped < rank:
             jumps.append((root, ncols - dropped))
     return BadQReport(

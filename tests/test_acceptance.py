@@ -535,3 +535,36 @@ def test_criterion_20_full_slices():
             assert hit.dim == len(monomials_of_degree(4, d)) == math.comb(3 + d, d)
             for p in hit.basis:
                 assert p == Polynomial.monomial(4, p.leading_monomial())
+
+
+# badq -n 4 -d 7: the gcd as the whole-stack diagonalization (`minor_gcd` on
+# the undivided constraint matrix) gave it in 92 s on a 2-core VM; q-degree 50,
+# 79-bit coefficients.
+BADQ_4_7_GCD = (0,) * 21 + (
+    1719926784, 122401456128, 4189968580608, 91862886039552, 1449115685932032,
+    17516871658160640, 168734466113511744, 1329821323076306688,
+    8736257429979189232, 48496147977782351856, 229779968861995615308,
+    936225571443212648920, 3298165473845383451709, 10083951897052373569341,
+    26821571542063206800500, 62131075438277570799564, 125330460234932482754280,
+    219864490719244496754832, 334563516464836383789708,
+    439831626978182247073020, 496728799069224641755738,
+    478229174695806173632482, 388472551952202881999388,
+    262591010897363711356612, 144939347597713493846448,
+    63609263975226587092776, 21338547543651445828056, 5136244465713263608860,
+    789430486063017018465, 58168562130959148729,
+)
+
+
+def test_criterion_21_badq_blocks_reach():
+    with criterion(21, "bad-q reach by isotypic blocks: n = 4 d = 7, 8, n = 5 d = 6", 30.0):
+        for n, d in [(4, 7), (4, 8), (5, 6)]:
+            report = bad_q_candidates(n, d)
+            if (n, d) == (4, 7):
+                assert report.minor_gcd == BADQ_4_7_GCD
+                assert len(BADQ_4_7_GCD) - 1 == 50
+                assert max(abs(c) for c in BADQ_4_7_GCD).bit_length() == 79
+            assert report.jumps
+            for root, dim_at_root in report.jumps:
+                assert qp_eval(report.minor_gcd, root) == 0
+                assert dim_at_root == harm_component(n, d, QParam(root)).dim
+                assert dim_at_root > report.generic_harm_dim

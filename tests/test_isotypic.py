@@ -1,0 +1,113 @@
+"""Block bases of the S_n-isotypic multiplicity spaces e_T V_d."""
+
+import math
+from collections import Counter
+from itertools import permutations
+
+import pytest
+
+from qsteenrod.isotypic import block_basis, blocks
+from qsteenrod.polynomials import monomials_of_degree
+from qsteenrod.representations import standard_tableaux
+
+
+def _kostka(shape, content):
+    """Semistandard tableaux of the shape and content, counted as chains of
+    horizontal strips: the cells holding i form a strip of size content[i]."""
+
+    def strips(inner, size):
+        # every partition outer with outer / inner a horizontal strip of size
+        def grow(i, left, outer):
+            if i == len(shape):
+                if not left:
+                    yield tuple(outer)
+                return
+            cap = shape[i] if i == 0 else min(shape[i], inner[i - 1])
+            for part in range(inner[i], min(cap, inner[i] + left) + 1):
+                yield from grow(i + 1, left - (part - inner[i]), outer + [part])
+
+        yield from grow(0, size, [])
+
+    def count(inner, rest):
+        if not rest:
+            return int(inner == tuple(shape))
+        return sum(count(outer, rest[1:]) for outer in strips(inner, rest[0]))
+
+    return count((0,) * len(shape), list(content))
+
+
+def test_kostka_oracle():
+    assert _kostka((2, 1), (1, 1, 1)) == 2
+    assert _kostka((3, 2), (2, 2, 1)) == 2
+    assert _kostka((2, 2), (3, 1)) == 0
+    assert _kostka((4,), (2, 2)) == 1
+
+
+def _permute(vec, sigma):
+    """x_i -> x_sigma(i) on a sparse vector of monomials."""
+    out = Counter()
+    for mono, c in vec.items():
+        new = [0] * len(mono)
+        for i, e in enumerate(mono):
+            new[sigma[i] - 1] = e
+        out[tuple(new)] += c
+    return out
+
+
+def _group(parts, n):
+    """(sigma, sign) for every permutation of the entries within each part."""
+    group = [(tuple(range(1, n + 1)), 1)]
+    for part in parts:
+        grown = []
+        for base, sign in group:
+            for image in permutations(part):
+                sigma = list(base)
+                for a, b in zip(part, image):
+                    sigma[a - 1] = b
+                flips = sum(1 for i in range(len(image)) for j in range(i) if image[j] > image[i])
+                grown.append((tuple(sigma), sign * (-1) ** flips))
+        group = grown
+    return group
+
+
+def _young_symmetrizer(vec, tableau, n):
+    rows = _group(tableau.rows, n)
+    columns = _group(tableau.columns(), n)
+    summed = Counter()
+    for sigma, _ in rows:
+        summed.update(_permute(vec, sigma))
+    out = Counter()
+    for tau, sign in columns:
+        for mono, c in _permute(summed, tau).items():
+            out[mono] += sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_basis(n):
+    # For n <= 5 and d <= 6: the blocks fill the slice (the sum of
+    # f_lam dim e_T V_d is C(n+d-1, d)); each monomial orbit of type nu gives
+    # K_{lam nu} vectors; e_T v = (n! / f_lam) v for every basis vector v.
+    for d in range(7):
+        columns = monomials_of_degree(n, d)
+        orbit_of = [tuple(sorted(m)) for m in columns]
+        total = 0
+        for lam, f in blocks(n):
+            assert f == sum(1 for _ in standard_tableaux(lam))
+            tableau = next(standard_tableaux(lam))
+            basis = block_basis(n, d, lam)
+            total += f * len(basis)
+            found = Counter()
+            for vec in basis:
+                assert vec and all(isinstance(c, int) and c for c in vec.values())
+                (orbit,) = {orbit_of[j] for j in vec}
+                found[orbit] += 1
+                poly = {columns[j]: c for j, c in vec.items()}
+                scale = math.factorial(n) // f
+                image = _young_symmetrizer(poly, tableau, n)
+                assert image == {m: scale * c for m, c in poly.items()}, (lam, d)
+            for orbit in set(orbit_of):
+                nu = sorted(Counter(orbit).values(), reverse=True)
+                assert found[orbit] == _kostka(lam, nu), (lam, orbit)
+        assert total == math.comb(n + d - 1, d), (n, d)
+

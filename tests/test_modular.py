@@ -1,6 +1,7 @@
 """The mod-p full-rank certificate: differential, forced-failure and
 Las Vegas checks against the exact Z[q] elimination."""
 
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -103,6 +104,15 @@ def test_q0_is_reproducible():
     # the reduction stops at target, and where the rows left cannot reach it
     assert modular.rank_mod_p([{0: (1,)}, {1: (1,)}], 2, 1) == 1
     assert modular.rank_mod_p([{0: (1,)}, {1: (1,)}], 3, 3) == 0
+
+
+def test_rank_at_a_point_runs_to_completion():
+    rows = [{0: (1,)}, {0: (2,)}, {1: (-1, 2)}]  # 2q - 1 vanishes at q = 1/2
+    assert modular.rank_mod_p(rows, 2) == 2
+    assert modular.rank_mod_p(rows, 2, point=Fraction(1, 2)) == 1
+    assert modular.rank_mod_p(rows, 2, point=Fraction(-3)) == 2
+    # with no target nothing stops the reduction early
+    assert modular.rank_mod_p([{0: (1,)}, {1: (1,)}], 3) == 2
 
 
 _poly = st.lists(st.integers(-3, 3), max_size=3).map(lambda c: qp_trim(tuple(c)))

@@ -1,5 +1,6 @@
 """Specialization lemmas, content-free bases, rank-drop detection."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsteenrod import modular
+from qsteenrod.cli import main
 from qsteenrod.errors import PoleError
 from qsteenrod.linalg import Matrix, sparse_rank
 from qsteenrod.polynomials import Polynomial, monomials_of_degree, scalar_product
@@ -28,6 +31,8 @@ from qsteenrod.scalars import (
 )
 from qsteenrod.spaces import GradedSubspace, harm_component
 from qsteenrod.specialize import (
+    _certify_rank,
+    _diagonalize,
     bad_q_candidates,
     conjectured_root_form,
     content_free_basis,
@@ -240,6 +245,76 @@ def test_minor_gcd_ignores_row_and_column_order(dense, rnd):
     assert minor_gcd(_dense_to_sparse(shuffled), ncols) == minor_gcd(
         _dense_to_sparse(dense), ncols
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_matrices(), st.integers(-3, 3), st.integers(1, 3))
+def test_rank_read_off_the_diagonal(dense, a, b):
+    # every step of _diagonalize is unimodular over Q[q], so the matrix stays
+    # equivalent to its diagonal after evaluation at any rational point; small
+    # points often hit roots of the small entries
+    ncols = len(dense[0])
+    sparse = _dense_to_sparse(dense)
+    q0 = Fraction(a, b)
+    read = sum(1 for entry in _diagonalize(sparse, ncols) if qp_eval(entry, q0))
+    assert read == sparse_rank(evaluate_rows(sparse, q0), ncols)
+    assert minor_gcd(sparse, ncols).rank_at(q0) == read
+
+
+@pytest.mark.parametrize("n, top", [(2, 12), (3, 7), (4, 6)])
+def test_blocks_match_the_whole_stack(n, top):
+    # bad_q_candidates diagonalizes one isotypic block at a time; the
+    # whole-stack diagonalization of the same matrix is the oracle
+    for d in range(1, top + 1):
+        for extended in (False, True):
+            degrees = tuple(range(1, d + 1)) if extended else (1, 2)
+            whole = minor_gcd(*harmonic_constraint_rows(n, d, degrees))
+            report = bad_q_candidates(n, d, extended)
+            assert (report.generic_rank, report.minor_gcd) == whole, (n, d, extended)
+
+
+def test_rank_certificate(monkeypatch):
+    rows, ncols = harmonic_constraint_rows(3, 4, (1, 2))
+    rank = sparse_rank(rows, ncols)
+    root = Fraction(-1, 2)
+    at_root = sparse_rank(evaluate_rows(rows, root), ncols)
+    assert at_root < rank
+    expected = bad_q_candidates(3, 4)
+    for mod_p in (modular.rank_mod_p, lambda *args, **kwargs: -1):
+        # a mod-p rank that comes up short leaves the decision to the exact one
+        monkeypatch.setattr(modular, "rank_mod_p", mod_p)
+        _certify_rank(rows, ncols, rank)
+        _certify_rank(rows, ncols, at_root, root)
+        for wrong in (rank - 1, rank + 1):
+            with pytest.raises(AssertionError, match="rank mismatch generic"):
+                _certify_rank(rows, ncols, wrong)
+        with pytest.raises(AssertionError, match="rank mismatch at q = -1/2"):
+            _certify_rank(rows, ncols, at_root + 1, root)
+        assert bad_q_candidates(3, 4) == expected
+
+
+def test_harmonic_dimension_is_semicontinuous(capsys):
+    # dim harm at q0 is at least the generic one, equal to it off the roots of
+    # the minor gcd, and equal to the reported kernel_dim_at_root at a jump
+    rng = random.Random(53)
+    for n in (1, 2, 3):
+        for d in range(1, 7):
+            report = bad_q_candidates(n, d)
+            generic = harm_component(n, d, FORMAL).dim
+            assert report.generic_harm_dim == generic
+            points = rational_roots(report.minor_gcd)[0] + [Fraction(0)]
+            points += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+            for q0 in points:
+                dim = harm_component(n, d, QParam(q0)).dim
+                assert dim >= generic, (n, d, q0)
+                if qp_eval(report.minor_gcd, q0):
+                    assert dim == generic, (n, d, q0)
+            assert main(["badq", "-n", str(n), "-d", str(d), "--format", "json"]) == 0
+            findings = json.loads(capsys.readouterr().out)["findings"]
+            assert len(findings) == len(report.jumps)
+            for finding in findings:
+                q0 = QParam(Fraction(finding["q0"]))
+                assert harm_component(n, d, q0).dim == finding["kernel_dim_at_root"]
 
 
 def test_minor_gcd_on_harmonic_constraints_small():
