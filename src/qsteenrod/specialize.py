@@ -402,17 +402,17 @@ def bad_q_candidates(
     if extended_generators:
         degrees = tuple(range(1, d + 1))
     rows, ncols = harmonic_constraint_rows(n, d, degrees)
-    parts = [(f, minor_gcd(*block_rows(rows, n, d, lam))) for lam, f in blocks(n)]
-    rank = sum(f * block_rank for f, (block_rank, _) in parts)
+    parts = [(lam, f, minor_gcd(*block_rows(rows, n, d, lam))) for lam, f in blocks(n)]
+    rank = sum(f * block_rank for _, f, (block_rank, _) in parts)
     _certify_rank(rows, ncols, rank)
     gcd = QP_ONE  # primitive factors with positive leading coefficients
-    for f, (_, block_gcd) in parts:
+    for _, f, (_, block_gcd) in parts:
         for _ in range(f):
             gcd = qp_mul(gcd, block_gcd)
     roots, cofactor = rational_roots(gcd)
     jumps = []
     for root in roots:
-        dropped = sum(f * block.rank_at(root) for f, block in parts)
+        dropped = sum(f * block.rank_at(root) for _, f, block in parts)
         _certify_rank(rows, ncols, dropped, root)
         if dropped >= rank:
             raise AssertionError(
@@ -424,7 +424,7 @@ def bad_q_candidates(
             specialized = evaluate_rows(stack, root)
             dropped = sum(
                 f * sparse_rank(*block_rows(specialized, n, d, lam))
-                for lam, f in blocks(n)
+                for lam, f, _ in parts
             )
             _certify_rank(stack, ncols, dropped, root)
         if dropped < rank:
