@@ -16,24 +16,45 @@ e_T M^nu has dimension the Kostka number K_{lam nu}.
 
 `block_basis` echelonizes the vectors e_T(m) fraction-free over Z, one
 monomial orbit at a time, and `block_rows` multiplies a matrix over Z[q]
-by that basis.  For an S_n-equivariant matrix M on V_d (such as the
-stacked down operators) a constant change of basis on both sides gives
-M = direct sum of M_lam (x) I_{f_lam}, and M . B_lam = C . M_lam for a
-constant injection C.  So rank M = sum of f_lam rank(M . B_lam), and the
-gcd of the maximal minors of M over Q[q] is, up to a unit, the product of
-gcd(M . B_lam)^f_lam (`specialize.bad_q_candidates`).
+by that basis.  The blocks have three consumers:
+`specialize.bad_q_candidates`, `stable_kernel` (harmonic slices) and
+`stable_span` (hit and truncated-hit slices).
+
+For an S_n-equivariant matrix M on V_d (such as the stacked down operators)
+a constant change of basis on both sides gives M = direct sum of
+M_lam (x) I_{f_lam}, and M . B_lam = C . M_lam for a constant injection C.
+So rank M = sum of f_lam rank(M . B_lam), and the gcd of the maximal minors
+of M over Q[q] is, up to a unit, the product of gcd(M . B_lam)^f_lam
+(`specialize.bad_q_candidates`).
+
+For rows M whose kernel is S_n-stable, ker(M . B_lam) holds the
+coordinates of e_T ker M.  Moved by sigma_{T -> T'} for every standard
+tableau T' it gives e_T' ker M, and these f_lam copies span the
+lam-isotypic part of ker M.  `stable_kernel` (harmonic slices) and
+`stable_span` (hit and truncated-hit slices, the complement of ker M)
+take this route past the middle of the harmonic range (`blocks_pay`) and
+certify it: the spread must have rank sum of f_lam dim ker(M . B_lam).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from typing import Sequence
 
-from .linalg import SparseIntRow, forward_eliminate
-from .polynomials import Monomial, monomials_of_degree, permute_monomial
+from . import linalg, modular
+from .linalg import (
+    SparseIntRow,
+    SparseRFRow,
+    forward_eliminate,
+    null_space,
+    reduced_echelon,
+    rf_rows_to_int,
+    row_to_poly,
+)
+from .polynomials import Monomial, Polynomial, monomials_of_degree, permute_monomial
 from .representations import sn_character, standard_tableaux
 from .scalars import qp_add, qp_scale
-from .schubert import inversions
 from .steenrod import Partition, partitions_of
 
 
@@ -46,7 +67,8 @@ def _group(parts: list[tuple[int, ...]], n: int) -> list[tuple[tuple[int, ...], 
             for a, b in zip(part, image):
                 sigma[a - 1] = b
         perm = tuple(sigma)
-        out.append((perm, -1 if inversions(perm) % 2 else 1))
+        flips = sum(1 for a, b in combinations(perm, 2) if a > b)
+        out.append((perm, -1 if flips % 2 else 1))
     return out
 
 
@@ -120,3 +142,136 @@ def block_rows(
 def blocks(n: int) -> list[tuple[Partition, int]]:
     """Every partition lam of n with f_lam (the character at the identity)."""
     return [(lam, sn_character(lam, (1,) * n)) for lam in partitions_of(n)]
+
+
+def blocks_pay(n: int, d: int) -> bool:
+    """Whether a slice that is not full is built from the blocks: 4d > n(n-1).
+
+    Past the middle of the classical harmonic range 0..n(n-1)/2 the kernel is
+    small next to the slice, and the block kernels with one echelon of their
+    spread cost a fraction of the whole-slice elimination (formal harm(5, 7)
+    on a 2-core VM: 36 s -> 0.8 s).  Up to the middle they mostly cost more,
+    the echelon of some 20 dense spread rows against a sparse elimination:
+    formal n = 5 took 1.9-3.2x as long by blocks at d = 4 and 1.4x for harm
+    at d = 5 (hit at d = 5 was 1.7x faster).
+    """
+    return 4 * d > n * (n - 1)
+
+
+def spread_permutations(lam: Partition) -> list[tuple[int, ...]]:
+    """sigma_{T -> T'} for every standard tableau T' of shape lam.
+
+    T is the first standard tableau, the one `block_basis` uses; sigma sends
+    the entry in each cell of T to the entry in the same cell of T', so it
+    carries e_T W onto e_T' W for every S_n-stable W.
+    """
+    cells = [[e for row in t.rows for e in row] for t in standard_tableaux(lam)]
+    out = []
+    for target in cells:
+        sigma = [0] * len(target)
+        for a, b in zip(cells[0], target):
+            sigma[a - 1] = b
+        out.append(tuple(sigma))
+    return out
+
+
+def _spread_kernel(
+    rows: list[SparseIntRow], n: int, d: int
+) -> tuple[list[SparseIntRow], int]:
+    """Rows spanning ker M on the degree-d slice, and the dimension they must span.
+
+    ker M must be S_n-stable.  Then ker(M . B_lam) holds the coordinates of
+    ker M meet e_T V_d = e_T ker M, which has dimension the multiplicity of
+    S^lam in ker M; lifted through B_lam and moved by every sigma_{T -> T'}
+    it spans the lam-isotypic part of ker M, of dimension f_lam times that.
+    """
+    columns = monomials_of_degree(n, d)
+    index = {m: j for j, m in enumerate(columns)}
+    spread: list[SparseIntRow] = []
+    dim = 0
+    for lam, f in blocks(n):
+        basis = block_basis(n, d, lam)
+        kernel = rf_rows_to_int(null_space(*block_rows(rows, n, d, lam)))
+        if not kernel:
+            continue
+        dim += f * len(kernel)
+        moves = [
+            [index[permute_monomial(m, sigma)] for m in columns]
+            for sigma in spread_permutations(lam)
+        ]
+        for vec in kernel:
+            lifted: SparseIntRow = {}
+            for k, c in vec.items():
+                for j, b in basis[k].items():
+                    lifted[j] = qp_add(lifted.get(j, ()), qp_scale(c, b))
+            lifted = {j: v for j, v in lifted.items() if v}
+            spread.extend({move[j]: v for j, v in lifted.items()} for move in moves)
+    return spread, dim
+
+
+def _certify(rank: int, dim: int) -> None:
+    if rank != dim:
+        raise AssertionError(
+            f"spread block kernels have rank {rank}, their blocks give {dim}"
+        )
+
+
+def _full(rows: list[SparseIntRow], ncols: int) -> bool:
+    return modular.rank_mod_p(rows, ncols, ncols) == ncols
+
+
+def block_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
+    """`linalg.slice_kernel` of rows whose kernel is S_n-stable, from the blocks.
+
+    The reduced echelon form of the spread block kernels is that of ker M,
+    which is unique.  It must have as many rows as the blocks give (the sum
+    of f_lam dim ker(M . B_lam)), or the call raises AssertionError.
+    """
+    columns = monomials_of_degree(n, d)
+    int_rows = rf_rows_to_int(rows)
+    if _full(int_rows, len(columns)):
+        return []
+    spread, dim = _spread_kernel(int_rows, n, d)
+    pivots, reduced = reduced_echelon(spread, len(columns))
+    _certify(len(pivots), dim)
+    return [row_to_poly(row, n, columns) for row in reduced]
+
+
+def block_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
+    """`linalg.slice_span` of rows whose kernel is S_n-stable, from the blocks.
+
+    The span is the orthogonal complement of K = ker M under the standard
+    dot product, i.e. the kernel of K's spread rows, whose reduced echelon
+    basis `null_space` reads off K's echelon form in reversed column order:
+    e_j - sum over rows of row[j] e_p(row) for each non-pivot column j.  K's
+    echelon must have as many rows as the blocks give, or the call raises
+    AssertionError.
+    """
+    columns = monomials_of_degree(n, d)
+    int_rows = rf_rows_to_int(rows)
+    if _full(int_rows, len(columns)):
+        return [Polynomial.monomial(n, m) for m in columns]
+    spread, dim = _spread_kernel(int_rows, n, d)
+    vecs = null_space(spread, len(columns))
+    _certify(len(columns) - len(vecs), dim)
+    return [row_to_poly(vec, n, columns) for vec in vecs]
+
+
+def stable_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
+    """Reduced echelon basis of the kernel of rows on the degree-d slice.
+
+    The kernel must be S_n-stable; past the middle of the harmonic range it
+    comes from the blocks (`blocks_pay`), elsewhere from the whole slice.
+    """
+    solve = block_kernel if blocks_pay(n, d) else linalg.slice_kernel
+    return solve(rows, n, d)
+
+
+def stable_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
+    """Reduced echelon basis of the span of rows on the degree-d slice.
+
+    The span must be S_n-stable; past the middle of the harmonic range it
+    comes from the blocks (`blocks_pay`), elsewhere from the whole slice.
+    """
+    solve = block_span if blocks_pay(n, d) else linalg.slice_span
+    return solve(rows, n, d)

@@ -16,13 +16,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import InvalidFillingError, NotStableError
 from .polynomials import Polynomial, permute_variables
 from .scalars import RF_ZERO, RationalFunction
-from .spaces import GradedSubspace
 from .steenrod import Partition, is_partition, partitions_of
+
+if TYPE_CHECKING:  # spaces imports isotypic, which imports this module
+    from .spaces import GradedSubspace
 
 
 @dataclass(frozen=True)

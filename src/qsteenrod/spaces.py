@@ -12,8 +12,25 @@ kernel of the down operators D_k on degree d for the same k.  Harmonics
 are also the orthogonal complement of the hits under the factorial-weighted
 scalar product <x^K, x^K> = K!, for which P_k and D_k are adjoint; the test
 suite cross-checks this degree by degree.  Every slice is read through the
-slice layout of `linalg`: hits are a `slice_span`, harmonics and
-K!-complements a `slice_kernel`.
+slice layout of `linalg`: hits are a span, harmonics and K!-complements a
+kernel.
+
+The D_k and the P_lambda commute with permuting the variables, so the
+kernel of a slice's rows M is S_n-stable: the D_k rows of a harmonic slice,
+the generator images (P_k . m, or P_lambda . h) of a hit or truncated-hit
+slice read as functionals.  `isotypic`'s `stable_kernel` and `stable_span`
+solve them.  A slice the mod-p rank certifies full needs no elimination.
+Past the middle of the classical harmonic range, 4d > n(n-1), ker M is
+small next to the slice and comes from the S_n-isotypic blocks: the kernel
+of each M . B_lam, lifted through B_lam and spread over the standard
+tableaux of shape lam.  Harmonics are the reduced echelon form of that
+spread, hits its orthogonal complement under the standard dot product.
+The spread must have rank sum of f_lam dim ker(M . B_lam), which is
+dim ker M, or the slice function raises AssertionError rather than return
+a short basis.  Up to the middle the blocks cost more than the whole-slice
+elimination (`linalg.slice_span`, `linalg.slice_kernel`), which runs
+there.  The reduced echelon basis of a space is unique, so both routes
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -23,9 +40,9 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Sequence
 
+from .isotypic import stable_kernel, stable_span
 from .linalg import (
     SparseRFRow,
-    echelonize,
     slice_images,
     slice_kernel,
     slice_rows,
@@ -100,20 +117,23 @@ def generating_degrees(n: int, q: QParam) -> tuple[int, ...]:
     return (1, 2)
 
 
-@lru_cache(maxsize=None)
-def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
-    """Degree-d slice of the hit polynomials at the given q.
+def hit_generator_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
+    """The images P_k . m of the generating P_k, P_1 before P_2, on degree d.
 
-    Only the generating P_k are applied, P_1 before P_2: the images of the
-    others lie in their span (see the module docstring), and the reduced
-    echelon basis of a span is unique.
+    The images of the other P_k lie in their span (see the module docstring).
     """
     rows: list[SparseRFRow] = []
     for k in generating_degrees(n, q):
         if k > d:
             continue
         rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
-    return GradedSubspace(n, d, tuple(slice_span(rows, n, d)))
+    return rows
+
+
+@lru_cache(maxsize=None)
+def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
+    """Degree-d slice of the hit polynomials at the given q."""
+    return GradedSubspace(n, d, tuple(stable_span(hit_generator_rows(n, d, q), n, d)))
 
 
 def down_constraint_rows(
@@ -138,7 +158,7 @@ def down_constraint_rows(
 def harm_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the harmonic polynomials at the given q."""
     rows = down_constraint_rows(n, d, q, generating_degrees(n, q))
-    return GradedSubspace(n, d, tuple(slice_kernel(rows, n, d)))
+    return GradedSubspace(n, d, tuple(stable_kernel(rows, n, d)))
 
 
 def weighted_complement(v: GradedSubspace) -> GradedSubspace:
@@ -156,9 +176,12 @@ def weighted_complement(v: GradedSubspace) -> GradedSubspace:
     return GradedSubspace(n, d, tuple(slice_kernel(rows, n, d)))
 
 
-@lru_cache(maxsize=None)
-def truncated_hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
-    """Span of P_lambda . h over length(lambda) <= n and classical harmonics h."""
+def truncated_hit_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
+    """The generators P_lambda . h of the truncated hits on degree d, as rows.
+
+    lambda runs over the partitions of length <= n and h over the classical
+    harmonics of degree d - |lambda|.
+    """
     generators: list[Polynomial] = []
     for weight in range(1, d + 1):
         harmonics = harm_component(n, d - weight, QParam.rational(0))
@@ -168,7 +191,13 @@ def truncated_hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
             op = make_p_lambda(n, lam, q)
             for h in harmonics.basis:
                 generators.append(weyl_apply(op, h))
-    return GradedSubspace(n, d, tuple(echelonize(generators)))
+    return slice_rows(generators, n, d)
+
+
+@lru_cache(maxsize=None)
+def truncated_hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
+    """Span of P_lambda . h over length(lambda) <= n and classical harmonics h."""
+    return GradedSubspace(n, d, tuple(stable_span(truncated_hit_rows(n, d, q), n, d)))
 
 
 def truncated_harm_component(n: int, d: int, q: QParam) -> GradedSubspace:

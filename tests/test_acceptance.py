@@ -5,6 +5,7 @@ timing lines.  Every expected value is exact; the bounds in parentheses are
 the time budgets the criteria must meet.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -568,3 +569,29 @@ def test_criterion_21_badq_blocks_reach():
                 assert qp_eval(report.minor_gcd, root) == 0
                 assert dim_at_root == harm_component(n, d, QParam(root)).dim
                 assert dim_at_root > report.generic_harm_dim
+
+
+# sha256 of json.dumps(serialize_subspace(space), sort_keys=True) for formal
+# slices that the whole-slice elimination built in 36 s, 87 s and 18.5 s on a
+# 2-core VM; the isotypic blocks must give the same bytes.
+BLOCK_SLICE_DIGESTS = {
+    (harm_component, 5, 7): (
+        15, "df801258c6f7223b85e052ac4fe29f0f9200e1b09c3ee1721bdfc8893301b952"
+    ),
+    (hit_component, 5, 7): (
+        315, "b8c581afa8d66da86613a434ed45fb32467d9949bd804d7cea7889ad06ae3f34"
+    ),
+    (truncated_hit_component, 4, 6): (
+        83, "f26cab2edbb7394eff82337e41891566cef8fb7319c20003dfd2a9c8a601d3b4"
+    ),
+}
+
+
+def test_criterion_22_block_slices():
+    with criterion(22, "harm, hit of n = 5 d = 7, tqhit of n = 4 d = 6 by blocks", 30.0):
+        for (build, n, d), (dim, digest) in BLOCK_SLICE_DIGESTS.items():
+            space = build.__wrapped__(n, d, FORMAL)
+            assert space.dim == dim
+            text = json.dumps(serialize_subspace(space), sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, d)
+        assert 315 == math.comb(11, 4) - 15

@@ -5,12 +5,13 @@ from functools import partial
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsteenrod import linalg, spaces
+from qsteenrod import isotypic, linalg, spaces
 from qsteenrod.errors import InhomogeneousError, VariableCountMismatchError
+from qsteenrod.isotypic import stable_span
 from qsteenrod.linalg import (
     echelonize,
-    reduced_echelon,
     slice_images,
     slice_kernel,
     slice_span,
@@ -134,13 +135,13 @@ def test_hit_applies_only_the_generating_operators(monkeypatch):
         applied.append(k)
         return make_pk(n, k, q)
 
-    def recording_echelon(rows, ncols):
+    def recording_span(rows, n, d):
         rows_in.append(len(rows))
-        return reduced_echelon(rows, ncols)
+        return stable_span(rows, n, d)
 
     monkeypatch.setattr(spaces, "make_pk", recording_pk)
-    # the span solver looks reduced_echelon up in linalg
-    monkeypatch.setattr(linalg, "reduced_echelon", recording_echelon)
+    # hit_component looks its span solver up in spaces
+    monkeypatch.setattr(spaces, "stable_span", recording_span)
     build = hit_component.__wrapped__  # bypass the slice cache
     build(4, 6, FORMAL)
     assert applied == [1, 2]
@@ -402,3 +403,63 @@ def test_weighted_complement_is_orthogonal_under_the_factorial_product():
         for w in comp.basis:
             for b in v.basis:
                 assert scalar_product(w, b) == RF_ZERO, (v.n, v.degree)
+
+
+# A bad value joins the grid: at q = -1/2, harm(4, 4) has dimension 8, not 5.
+BLOCK_Q = Q_VALUES + (QParam.rational(11, 13),)
+BUILDERS = {
+    "harm": harm_component,
+    "hit": hit_component,
+    "tqhit": truncated_hit_component,
+}
+
+
+def _routes(kind, n, d, q):
+    """The rows of one slice, its block solver and its whole-slice solver."""
+    if kind == "harm":
+        rows = spaces.down_constraint_rows(n, d, q, spaces.generating_degrees(n, q))
+        return rows, isotypic.block_kernel, slice_kernel
+    build = spaces.hit_generator_rows if kind == "hit" else spaces.truncated_hit_rows
+    return build(n, d, q), isotypic.block_span, slice_span
+
+
+@pytest.mark.parametrize("q", BLOCK_Q, ids=str)
+def test_block_route_matches_whole_slice(q):
+    cells = [(k, n, d) for k in ("harm", "hit") for n in range(1, 5) for d in range(8)]
+    cells += [("tqhit", n, d) for n in range(1, 5) for d in range(6)]
+    if q == QParam.rational(1):
+        cells += [("harm", 5, 6), ("hit", 5, 6)]
+    for kind, n, d in cells:
+        rows, blocks, whole = _routes(kind, n, d, q)
+        assert blocks(rows, n, d) == whole(rows, n, d), (kind, n, d, str(q))
+    if q == QParam.rational(-1, 2):
+        assert harm_component(4, 4, q).dim == 8
+
+
+def test_short_spread_raises(monkeypatch):
+    # Spread by the identity alone, e_T ker M for lam = (2, 1) (f_lam = 2)
+    # gives one of the two copies of S^(2,1) in each slice below.
+    original = isotypic.spread_permutations
+    monkeypatch.setattr(
+        isotypic,
+        "spread_permutations",
+        lambda lam: [(1, 2, 3)] if lam == (2, 1) else original(lam),
+    )
+    assert isotypic.blocks_pay(3, 2)
+    for build in BUILDERS.values():
+        with pytest.raises(AssertionError, match="spread"):
+            build.__wrapped__(3, 2, FORMAL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(BUILDERS)),
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.sampled_from(BLOCK_Q),
+)
+def test_block_whole_cached_uncached_agree(kind, n, d, q):
+    rows, blocks, whole = _routes(kind, n, d, q)
+    uncached = BUILDERS[kind].__wrapped__(n, d, q).basis
+    assert tuple(blocks(rows, n, d)) == tuple(whole(rows, n, d)) == uncached
+    assert BUILDERS[kind](n, d, q).basis == uncached
