@@ -11,6 +11,7 @@ and corrupt files fall back to recomputation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -245,9 +246,14 @@ class SubspaceCache:
         }
         path = self._path(key)
         tmp = path + f".tmp{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(wrapper, handle, sort_keys=True)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(wrapper, handle, sort_keys=True)
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise QSteenrodError(f"cache file {path!r}: {exc.strerror}")
 
 
 def cache_key(kind: str, n: int, d: int, q: QParam) -> str:

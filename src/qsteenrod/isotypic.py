@@ -33,16 +33,19 @@ tableau T' it gives e_T' ker M, and these f_lam copies span the
 lam-isotypic part of ker M.  `stable_kernel` (harmonic slices) and
 `stable_span` (hit and truncated-hit slices, the complement of ker M)
 take this route past the middle of the harmonic range (`blocks_pay`) and
-certify it: the spread must have rank sum of f_lam dim ker(M . B_lam).
+certify it: the independent B_lam must cover the slice (sum of f_lam |B_lam|
+= dim V_d) and the spread must have rank sum of f_lam dim ker(M . B_lam).
+A full slice has full blocks, each certified by linalg's mod-p rank, and an
+empty spread.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Sequence
 
-from . import linalg, modular
+from . import linalg
 from .linalg import (
     SparseIntRow,
     SparseRFRow,
@@ -52,7 +55,13 @@ from .linalg import (
     rf_rows_to_int,
     row_to_poly,
 )
-from .polynomials import Monomial, Polynomial, monomials_of_degree, permute_monomial
+from .polynomials import (
+    Monomial,
+    Polynomial,
+    inversions,
+    monomials_of_degree,
+    permute_monomial,
+)
 from .representations import sn_character, standard_tableaux
 from .scalars import qp_add, qp_scale
 from .steenrod import Partition, partitions_of
@@ -67,8 +76,7 @@ def _group(parts: list[tuple[int, ...]], n: int) -> list[tuple[tuple[int, ...], 
             for a, b in zip(part, image):
                 sigma[a - 1] = b
         perm = tuple(sigma)
-        flips = sum(1 for a, b in combinations(perm, 2) if a > b)
-        out.append((perm, -1 if flips % 2 else 1))
+        out.append((perm, -1 if inversions(perm) % 2 else 1))
     return out
 
 
@@ -184,8 +192,15 @@ def _spread_kernel(
     ker M meet e_T V_d = e_T ker M, which has dimension the multiplicity of
     S^lam in ker M; lifted through B_lam and moved by every sigma_{T -> T'}
     it spans the lam-isotypic part of ker M, of dimension f_lam times that.
+    The bases must cover the slice, sum of f_lam |B_lam| = C(n+d-1, d), or
+    the call raises AssertionError.
     """
     columns = monomials_of_degree(n, d)
+    cover = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
+    if cover != len(columns):
+        raise AssertionError(
+            f"block bases cover {cover} of the {len(columns)} slice columns"
+        )
     index = {m: j for j, m in enumerate(columns)}
     spread: list[SparseIntRow] = []
     dim = 0
@@ -216,10 +231,6 @@ def _certify(rank: int, dim: int) -> None:
         )
 
 
-def _full(rows: list[SparseIntRow], ncols: int) -> bool:
-    return modular.rank_mod_p(rows, ncols, ncols) == ncols
-
-
 def block_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
     """`linalg.slice_kernel` of rows whose kernel is S_n-stable, from the blocks.
 
@@ -228,10 +239,7 @@ def block_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial
     of f_lam dim ker(M . B_lam)), or the call raises AssertionError.
     """
     columns = monomials_of_degree(n, d)
-    int_rows = rf_rows_to_int(rows)
-    if _full(int_rows, len(columns)):
-        return []
-    spread, dim = _spread_kernel(int_rows, n, d)
+    spread, dim = _spread_kernel(rf_rows_to_int(rows), n, d)
     pivots, reduced = reduced_echelon(spread, len(columns))
     _certify(len(pivots), dim)
     return [row_to_poly(row, n, columns) for row in reduced]
@@ -248,10 +256,7 @@ def block_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
     AssertionError.
     """
     columns = monomials_of_degree(n, d)
-    int_rows = rf_rows_to_int(rows)
-    if _full(int_rows, len(columns)):
-        return [Polynomial.monomial(n, m) for m in columns]
-    spread, dim = _spread_kernel(int_rows, n, d)
+    spread, dim = _spread_kernel(rf_rows_to_int(rows), n, d)
     vecs = null_space(spread, len(columns))
     _certify(len(columns) - len(vecs), dim)
     return [row_to_poly(vec, n, columns) for vec in vecs]

@@ -14,7 +14,9 @@ certificate of ``modular.rank_mod_p``: the rank at one seeded point mod a
 61-bit prime is a lower bound on the rank over Q(q), so when it already equals
 ncols (or min(nonzero rows, ncols) for ``sparse_rank``) the answer is known
 exactly: the rank, and, the RREF being unique, the identity rows.  Otherwise
-the exact elimination runs as it is.
+the exact elimination runs as it is.  Rows that are all empty (none at all,
+such as the spread of a full slice's block kernels) give the empty echelon
+form at once, with neither step.
 ``kernel_basis`` reads one kernel vector per free column off a reduced
 echelon form; ``null_space`` does so with the columns reversed, which yields
 the kernel's own reduced echelon basis from the same single elimination.
@@ -127,6 +129,8 @@ def reduced_echelon(
     rows: list[SparseIntRow], ncols: int
 ) -> tuple[list[int], list[SparseRFRow]]:
     """Reduced row echelon form over Q(q) with unit pivots."""
+    if not any(rows):
+        return [], []
     if modular.rank_mod_p(rows, ncols, ncols) == ncols:
         return list(range(ncols)), [{j: RF_ONE} for j in range(ncols)]
     pivots, ech = forward_eliminate(rows, ncols)

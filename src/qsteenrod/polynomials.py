@@ -279,6 +279,21 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return a * b
 
 
+def transposition(n: int, i: int) -> tuple[int, ...]:
+    """The adjacent transposition s_i = (i, i+1) of S_n, in one-line notation."""
+    images = list(range(1, n + 1))
+    images[i - 1], images[i] = images[i], images[i - 1]
+    return tuple(images)
+
+
+def inversions(sigma: tuple[int, ...]) -> int:
+    """The number of pairs i < j with sigma(i) > sigma(j); its parity is the sign."""
+    n = len(sigma)
+    return sum(
+        1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
+    )
+
+
 def permute_monomial(mono: Monomial, sigma: tuple[int, ...]) -> Monomial:
     """The exponents of a monomial after x_i -> x_sigma(i)."""
     new = [0] * len(mono)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import InvalidFillingError, NotStableError
-from .polynomials import Polynomial, permute_variables
+from .polynomials import Polynomial, permute_variables, transposition
 from .scalars import RF_ZERO, RationalFunction
 from .steenrod import Partition, is_partition, partitions_of
 
@@ -226,9 +226,7 @@ def _slice_trace(space: GradedSubspace, sigma: tuple[int, ...]) -> RationalFunct
 def _check_stable(space: GradedSubspace) -> None:
     n = space.n
     for i in range(1, n):
-        sigma = tuple(
-            i + 1 if v == i else (i if v == i + 1 else v) for v in range(1, n + 1)
-        )
+        sigma = transposition(n, i)
         for b in space.basis:
             if space.coordinates(permute_variables(b, sigma)) is None:
                 raise NotStableError(space.degree, i)

@@ -26,7 +26,13 @@ from .linalg import (
     rf_rows_to_int,
     sparse_rank,
 )
-from .polynomials import Monomial, Polynomial, monomials_of_degree
+from .polynomials import (
+    Monomial,
+    Polynomial,
+    inversions,
+    monomials_of_degree,
+    transposition,
+)
 from .scalars import QParam, RF_ZERO, RationalFunction
 from .spaces import generating_degrees
 from .steenrod import make_pk
@@ -43,22 +49,9 @@ def longest_perm(n: int) -> Perm:
     return tuple(range(n, 0, -1))
 
 
-def transposition(n: int, i: int) -> Perm:
-    images = list(range(1, n + 1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return tuple(images)
-
-
 def compose_perms(a: Perm, b: Perm) -> Perm:
     """(a b)(i) = a(b(i))."""
     return tuple(a[b[i] - 1] for i in range(len(a)))
-
-
-def inversions(sigma: Perm) -> int:
-    n = len(sigma)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
-    )
 
 
 def word_to_perm(word: Sequence[int], n: int) -> Perm:

@@ -19,17 +19,17 @@ The D_k and the P_lambda commute with permuting the variables, so the
 kernel of a slice's rows M is S_n-stable: the D_k rows of a harmonic slice,
 the generator images (P_k . m, or P_lambda . h) of a hit or truncated-hit
 slice read as functionals.  `isotypic`'s `stable_kernel` and `stable_span`
-solve them.  A slice the mod-p rank certifies full needs no elimination.
-Past the middle of the classical harmonic range, 4d > n(n-1), ker M is
-small next to the slice and comes from the S_n-isotypic blocks: the kernel
-of each M . B_lam, lifted through B_lam and spread over the standard
-tableaux of shape lam.  Harmonics are the reduced echelon form of that
-spread, hits its orthogonal complement under the standard dot product.
-The spread must have rank sum of f_lam dim ker(M . B_lam), which is
-dim ker M, or the slice function raises AssertionError rather than return
-a short basis.  Up to the middle the blocks cost more than the whole-slice
-elimination (`linalg.slice_span`, `linalg.slice_kernel`), which runs
-there.  The reduced echelon basis of a space is unique, so both routes
+solve them.  Past the middle of the classical harmonic range, 4d > n(n-1),
+ker M is small next to the slice and comes from the S_n-isotypic blocks:
+the kernel of each M . B_lam, lifted through B_lam and spread over the
+standard tableaux of shape lam.  Harmonics are the reduced echelon form of
+that spread, hits its orthogonal complement under the standard dot
+product.  The B_lam must cover the slice (sum of f_lam |B_lam| is
+C(n+d-1, d)) and the spread must have rank sum of f_lam dim ker(M . B_lam),
+which is dim ker M, or the slice function raises AssertionError.  A full
+slice has full blocks, each certified by linalg's mod-p rank, and an empty
+spread.  Up to the middle the blocks cost more than the whole-slice
+elimination (`linalg.slice_span`, `linalg.slice_kernel`), which runs there.  The reduced echelon basis of a space is unique, so both routes
 give the same bytes.
 """
 

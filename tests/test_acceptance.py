@@ -595,3 +595,14 @@ def test_criterion_22_block_slices():
             text = json.dumps(serialize_subspace(space), sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (n, d)
         assert 315 == math.comb(11, 4) - 15
+
+
+def test_criterion_23_block_full_slices():
+    # Degree 11 lies above n(n-1)/2 = 10, so every slice of n = 5 is all hit;
+    # each isotypic block certifies itself full, with no whole-slice pass.
+    with criterion(23, "full slices by blocks: harm, hit of n = 5, d = 11, formal q", 5.0):
+        assert harm_component.__wrapped__(5, 11, FORMAL).dim == 0
+        hit = hit_component.__wrapped__(5, 11, FORMAL)
+        assert hit.dim == len(monomials_of_degree(5, 11)) == math.comb(15, 4) == 1365
+        for p in hit.basis:
+            assert p == Polynomial.monomial(5, p.leading_monomial())

@@ -278,6 +278,16 @@ def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["type"] == "input"
 
 
+def test_cache_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    cache = SubspaceCache(str(tmp_path))
+    os.mkdir(cache._path(cache_key("harm", 2, 2, FORMAL)))
+    assert main(["harm", "-n", "2", "-d", "2", "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "input"
+    assert not list(tmp_path.glob("*.tmp*"))
+
+
 @pytest.mark.parametrize(
     "line", ["badq -n 2 -d 3", "hilbert --kind sym -n 2 -d 3", "schubert -n 3"]
 )

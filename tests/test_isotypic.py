@@ -110,4 +110,9 @@ def test_block_basis(n):
                 nu = sorted(Counter(orbit).values(), reverse=True)
                 assert found[orbit] == _kostka(lam, nu), (lam, orbit)
         assert total == math.comb(n + d - 1, d), (n, d)
+    # The fill count alone, which the block route asserts, on the cells of
+    # n = 4, 5 that the reach tables use, up to d = 11.
+    for d in range(7, 12 if n >= 4 else 7):
+        total = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
+        assert total == math.comb(n + d - 1, d), (n, d)
 

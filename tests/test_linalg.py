@@ -302,3 +302,14 @@ def test_full_slices_take_no_exact_elimination(monkeypatch):
     assert spaces.weighted_complement(hit).dim == 0
     assert spaces.harm_component.__wrapped__(3, 4, FORMAL).dim == 0
     assert calls == []
+
+
+def test_empty_rows_take_no_elimination(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "forward_eliminate", lambda *args: calls.append(args))
+    units = [{0: RF_ONE}, {1: RF_ONE}, {2: RF_ONE}]
+    for rows in ([], [{}], [{}, {}]):
+        assert reduced_echelon(rows, 3) == ([], [])
+        assert null_space(rows, 3) == units
+    assert reduced_echelon([], 0) == ([], []) and null_space([], 0) == []
+    assert calls == []

@@ -85,8 +85,8 @@ def test_short_certificate_falls_back_to_exact(monkeypatch):
     assert hit.dim == len(monomials_of_degree(3, 5))
     assert spaces.harm_component.__wrapped__(3, 5, FORMAL).dim == 0
     # degree 5 is past the middle of n = 3's harmonic range: each slice
-    # eliminates its 3 block kernels and then their (empty) spread
-    assert len(calls) == 2 * (len(blocks(3)) + 1)
+    # eliminates its 3 block kernels; their spread is empty and needs none
+    assert len(calls) == 2 * len(blocks(3))
     calls.clear()
     rows = [{0: (1, 1), 1: (2,)}, {1: (0, 3)}]
     assert sparse_rank(rows, 2) == 2

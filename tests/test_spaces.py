@@ -451,6 +451,23 @@ def test_short_spread_raises(monkeypatch):
             build.__wrapped__(3, 2, FORMAL)
 
 
+def test_short_block_basis_raises(monkeypatch):
+    # Without one vector of B_(2,1) the bases no longer cover the slice; at
+    # d = 5, a full slice, every block would still certify itself full.
+    original = isotypic.block_basis
+
+    def short(n, d, lam):
+        basis = original(n, d, lam)
+        return basis[1:] if lam == (2, 1) else basis
+
+    monkeypatch.setattr(isotypic, "block_basis", short)
+    for d in (2, 5):
+        assert isotypic.blocks_pay(3, d)
+        for build in BUILDERS.values():
+            with pytest.raises(AssertionError, match="cover"):
+                build.__wrapped__(3, d, FORMAL)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from(sorted(BUILDERS)),
