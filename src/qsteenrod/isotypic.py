@@ -14,9 +14,13 @@ f_lam dim e_T V_d is dim V_d.  The monomials whose exponents repeat with
 multiplicities nu span a copy of the permutation module M^nu, and
 e_T M^nu has dimension the Kostka number K_{lam nu}.
 
-`block_basis` echelonizes the vectors e_T(m) fraction-free over Z, one
-monomial orbit at a time, and `block_rows` multiplies a matrix over Z[q]
-by that basis.  The blocks have three consumers:
+`block_basis` takes e_T(m) for every monomial m whose exponents fill T
+semistandardly (weakly increasing along rows, strictly up columns): an
+orbit of type nu has K_{lam nu} of them.  One exact elimination over Z
+checks them independent, and `certify_cover` counts them against the
+slice, sum of f_lam |B_lam| = dim V_d, which makes each B_lam a basis of
+e_T V_d.  `block_rows` multiplies a matrix over Z[q] by that basis.  The
+blocks have three consumers, each of which calls `certify_cover`:
 `specialize.bad_q_candidates`, `stable_kernel` (harmonic slices) and
 `stable_span` (hit and truncated-hit slices).
 
@@ -25,7 +29,8 @@ a constant change of basis on both sides gives M = direct sum of
 M_lam (x) I_{f_lam}, and M . B_lam = C . M_lam for a constant injection C.
 So rank M = sum of f_lam rank(M . B_lam), and the gcd of the maximal minors
 of M over Q[q] is, up to a unit, the product of gcd(M . B_lam)^f_lam
-(`specialize.bad_q_candidates`).
+(`specialize.bad_q_candidates`, which certifies each block's rank by
+itself).
 
 For rows M whose kernel is S_n-stable, ker(M . B_lam) holds the
 coordinates of e_T ker M.  Moved by sigma_{T -> T'} for every standard
@@ -33,8 +38,8 @@ tableau T' it gives e_T' ker M, and these f_lam copies span the
 lam-isotypic part of ker M.  `stable_kernel` (harmonic slices) and
 `stable_span` (hit and truncated-hit slices, the complement of ker M)
 take this route past the middle of the harmonic range (`blocks_pay`) and
-certify it: the independent B_lam must cover the slice (sum of f_lam |B_lam|
-= dim V_d) and the spread must have rank sum of f_lam dim ker(M . B_lam).
+certify it: the B_lam must cover the slice (`certify_cover`) and the spread
+must have rank sum of f_lam dim ker(M . B_lam).
 A full slice has full blocks, each certified by linalg's mod-p rank, and an
 empty spread.
 """
@@ -55,13 +60,7 @@ from .linalg import (
     rf_rows_to_int,
     row_to_poly,
 )
-from .polynomials import (
-    Monomial,
-    Polynomial,
-    inversions,
-    monomials_of_degree,
-    permute_monomial,
-)
+from .polynomials import Polynomial, inversions, monomials_of_degree, permute_monomial
 from .representations import sn_character, standard_tableaux
 from .scalars import qp_add, qp_scale
 from .steenrod import Partition, partitions_of
@@ -84,41 +83,52 @@ def _group(parts: list[tuple[int, ...]], n: int) -> list[tuple[tuple[int, ...], 
 def block_basis(n: int, d: int, lam: Partition) -> tuple[dict[int, int], ...]:
     """An integer basis of e_T V_d, as sparse vectors over the slice columns.
 
-    Column j is the j-th monomial of `monomials_of_degree(n, d)`.  Each orbit
-    of monomials contributes the nonzero rows of one fraction-free echelon
-    form of the e_T(m), m in the orbit; e_T(m) depends only on the R(T)-orbit
-    of m, so one m per R(T)-orbit is enough.
+    Column j is the j-th monomial of `monomials_of_degree(n, d)`.  The basis
+    is e_T(m) for every monomial m whose exponents fill T semistandardly:
+    m_a <= m_b for a left of b in a row of T, m_a < m_b for a below b in a
+    column (the row sum runs over the distinct images of m).  An orbit of
+    type nu has K_{lam nu} such m.  The vectors are checked independent by
+    one exact elimination over Z, else the call raises AssertionError;
+    `certify_cover` makes them a basis.
     """
     tableau = next(standard_tableaux(lam))
     row_group = _group(tableau.rows, n)
     column_group = _group(tableau.columns(), n)
     columns = monomials_of_degree(n, d)
     index = {m: j for j, m in enumerate(columns)}
-    orbits: dict[Monomial, list[Monomial]] = {}
-    for mono in columns:
-        orbits.setdefault(tuple(sorted(mono)), []).append(mono)
+    # (a, b, s): b follows a along a row of T (s = 0) or up a column (s = 1)
+    steps = [
+        (a - 1, b - 1, s)
+        for s, parts in enumerate((tableau.rows, tableau.columns()))
+        for part in parts
+        for a, b in zip(part, part[1:])
+    ]
     basis: list[dict[int, int]] = []
-    for orbit in orbits.values():
-        local = {m: k for k, m in enumerate(orbit)}
-        vectors, seen = [], set()
-        for mono in orbit:
-            # the R(T)-orbit of mono, named by its exponents sorted within rows
-            key = tuple(tuple(sorted(mono[e - 1] for e in row)) for row in tableau.rows)
-            if key in seen:
-                continue
-            seen.add(key)
-            vec: dict[int, int] = {}
-            for image in {permute_monomial(mono, sigma) for sigma, _ in row_group}:
-                for tau, sign in column_group:
-                    k = local[permute_monomial(image, tau)]
-                    vec[k] = vec.get(k, 0) + sign
-            vec = {k: (c,) for k, c in vec.items() if c}
-            if vec:
-                vectors.append(vec)
-        _, echelon = forward_eliminate(vectors, len(orbit))
-        for row in echelon:
-            basis.append({index[orbit[k]]: c[0] for k, c in row.items()})
+    for mono in columns:
+        if any(mono[a] + s > mono[b] for a, b, s in steps):
+            continue
+        vec: dict[int, int] = {}
+        for image in {permute_monomial(mono, sigma) for sigma, _ in row_group}:
+            for tau, sign in column_group:
+                j = index[permute_monomial(image, tau)]
+                vec[j] = vec.get(j, 0) + sign
+        basis.append({j: c for j, c in vec.items() if c})
+    rows = [{j: (c,) for j, c in vec.items()} for vec in basis]
+    if len(forward_eliminate(rows, len(columns))[0]) < len(basis):
+        raise AssertionError(f"block basis of {lam} in degree {d} is dependent")
     return tuple(basis)
+
+
+def certify_cover(n: int, d: int) -> None:
+    """Raise AssertionError unless sum of f_lam |B_lam| = C(n+d-1, d).
+
+    Each B_lam is independent inside e_T V_d (`block_basis`), and the sum of
+    f_lam dim e_T V_d is dim V_d, so the count makes every B_lam a basis.
+    """
+    size = len(monomials_of_degree(n, d))
+    cover = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
+    if cover != size:
+        raise AssertionError(f"block bases cover {cover} of the {size} slice columns")
 
 
 def block_rows(
@@ -192,15 +202,11 @@ def _spread_kernel(
     ker M meet e_T V_d = e_T ker M, which has dimension the multiplicity of
     S^lam in ker M; lifted through B_lam and moved by every sigma_{T -> T'}
     it spans the lam-isotypic part of ker M, of dimension f_lam times that.
-    The bases must cover the slice, sum of f_lam |B_lam| = C(n+d-1, d), or
-    the call raises AssertionError.
+    The bases must cover the slice (`certify_cover`), or the call raises
+    AssertionError.
     """
+    certify_cover(n, d)
     columns = monomials_of_degree(n, d)
-    cover = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
-    if cover != len(columns):
-        raise AssertionError(
-            f"block bases cover {cover} of the {len(columns)} slice columns"
-        )
     index = {m: j for j, m in enumerate(columns)}
     spread: list[SparseIntRow] = []
     dim = 0

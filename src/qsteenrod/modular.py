@@ -15,9 +15,10 @@ q0 = a / b mod P, bounds the rank of the evaluated matrix over Q from below,
 and falls short only where P divides every nonzero r x r minor there.
 
 Run to completion, with no target, the mod-P rank is a cross-check on a rank
-found another way: `specialize.bad_q_candidates` compares it with the rank it
-reads off its per-block diagonalization, generically and at each root, and
-lets an exact elimination decide whenever the two differ.
+found another way: `specialize.bad_q_candidates` compares it, block by block
+(each S_n-isotypic block M . B_lam on its own), with the rank it reads off
+that block's diagonalization, generically and at each root, and lets an
+exact elimination of the block decide whenever the two differ.
 
 The random q0 comes from a ``random.Random`` seeded by the matrix shape, so
 runs and traces reproduce.

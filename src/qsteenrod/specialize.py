@@ -20,11 +20,12 @@ determinant, so U M V = diag(e_1, ..., e_r) + 0 with U, V invertible over
 Q[q].  Evaluating at a rational q0 keeps U(q0), V(q0) invertible, so
 rank M(q0) is the number of e_i with e_i(q0) != 0.  The constraint stack
 of `bad_q_candidates` is S_n-equivariant and is diagonalized one isotypic
-block at a time (`isotypic`); its rank at q0 is the sum over the blocks of
-f_lam times that count.  One mod-P rank of the whole stack, run to
-completion (`modular.rank_mod_p`), is compared with the generic rank and
-with the rank at each root; where they differ, an exact elimination
-decides, and a rank that disagrees with it raises.
+block M . B_lam at a time (`isotypic`, whose bases are certified to cover
+the slice); its rank at q0 is the sum over the blocks of f_lam times that
+count.  Each block's diagonal rank is checked against one mod-P rank of
+that block, run to completion (`modular.rank_mod_p`), generically and at
+each root; where they differ, an exact elimination of the block decides,
+and a rank that disagrees with it raises.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 
 from . import modular
 from .errors import PoleError
-from .isotypic import block_rows, blocks
+from .isotypic import block_rows, blocks, certify_cover
 from .linalg import SparseIntRow, rf_rows_to_int, row_to_poly, slice_rows, sparse_rank
 from .polynomials import Polynomial, monomials_of_degree, scalar_product
 from .scalars import (
@@ -387,14 +388,14 @@ def bad_q_candidates(
     gcd of its maximal minors the product of the block gcds to the powers
     f_lam.  The rational roots of that gcd are the candidates, and the rank
     of M at each is read off the block diagonals (see the module docstring).
-    One completed mod-P rank of the whole stack checks the generic rank and
-    each rank at a root (`_certify_rank`), and every root must drop the
-    rank.  The harmonic dimension at a root is counted with the generators
-    it needs there (generating_degrees, D_1..D_n at q = 0), which the stack
-    may lack: their rows join the stack, whose rank at the root is
-    eliminated exactly block by block and checked the same way.  Only roots
-    where that dimension exceeds the generic one are reported, with it, as
-    jumps.
+    The block bases must cover the slice (`isotypic.certify_cover`), and a
+    completed mod-P rank of each block checks its diagonal rank, generically
+    and at each root (`_certify_rank`); every root must drop the rank.  The
+    harmonic dimension at a root is counted with the generators it needs
+    there (generating_degrees, D_1..D_n at q = 0), which the stack may lack:
+    their rows join the stack, whose rank at the root is eliminated exactly
+    block by block.  Only roots where that dimension exceeds the generic one
+    are reported, with it, as jumps.
     """
     if d < 1:
         raise ValueError("degree must be positive")
@@ -402,18 +403,26 @@ def bad_q_candidates(
     if extended_generators:
         degrees = tuple(range(1, d + 1))
     rows, ncols = harmonic_constraint_rows(n, d, degrees)
-    parts = [(lam, f, minor_gcd(*block_rows(rows, n, d, lam))) for lam, f in blocks(n)]
-    rank = sum(f * block_rank for _, f, (block_rank, _) in parts)
-    _certify_rank(rows, ncols, rank)
+    certify_cover(n, d)
+    parts = []
+    for lam, f in blocks(n):
+        block = block_rows(rows, n, d, lam)
+        diagonal = minor_gcd(*block)
+        _certify_rank(*block, diagonal[0])
+        parts.append((lam, f, block, diagonal))
+    rank = sum(f * block_rank for _, f, _, (block_rank, _) in parts)
     gcd = QP_ONE  # primitive factors with positive leading coefficients
-    for _, f, (_, block_gcd) in parts:
+    for _, f, _, (_, block_gcd) in parts:
         for _ in range(f):
             gcd = qp_mul(gcd, block_gcd)
     roots, cofactor = rational_roots(gcd)
     jumps = []
     for root in roots:
-        dropped = sum(f * block.rank_at(root) for _, f, block in parts)
-        _certify_rank(rows, ncols, dropped, root)
+        dropped = 0
+        for _, f, block, diagonal in parts:
+            block_rank = diagonal.rank_at(root)
+            _certify_rank(*block, block_rank, root)
+            dropped += f * block_rank
         if dropped >= rank:
             raise AssertionError(
                 f"root {root} of the minor gcd did not drop the rank"
@@ -424,9 +433,8 @@ def bad_q_candidates(
             specialized = evaluate_rows(stack, root)
             dropped = sum(
                 f * sparse_rank(*block_rows(specialized, n, d, lam))
-                for lam, f, _ in parts
+                for lam, f, _, _ in parts
             )
-            _certify_rank(stack, ncols, dropped, root)
         if dropped < rank:
             jumps.append((root, ncols - dropped))
     return BadQReport(

@@ -19,6 +19,7 @@ from qsteenrod.cli import (
     serialize_polynomial,
     serialize_subspace,
 )
+from qsteenrod.isotypic import block_basis, blocks
 from qsteenrod.linalg import Matrix, echelonize, sparse_rank
 from qsteenrod.polynomials import Polynomial, monomials_of_degree
 from qsteenrod.representations import (
@@ -606,3 +607,41 @@ def test_criterion_23_block_full_slices():
         assert hit.dim == len(monomials_of_degree(5, 11)) == math.comb(15, 4) == 1365
         for p in hit.basis:
             assert p == Polynomial.monomial(5, p.leading_monomial())
+
+
+# badq -n 5 -d 8 as the blocks gave it while one mod-p rank of the whole stack
+# certified them: the gcd has q-degree 212, q^108 its lowest term and 264-bit
+# coefficients; pinned by sha256 of its comma-joined coefficients.
+BADQ_5_8_RANK = 486
+BADQ_5_8_GCD_DIGEST = "6b3f895bf3e1aa3373b40b12efdec9b8f3bae6f43b93866db6927bb2a37945e5"
+BADQ_5_8_JUMPS = (
+    (Fraction(-1), 20),
+    (Fraction(-5, 8), 24),
+    (Fraction(-1, 2), 29),
+    (Fraction(-3, 7), 20),
+    (Fraction(-3, 8), 24),
+    (Fraction(-1, 3), 20),
+    (Fraction(-2, 7), 20),
+    (Fraction(-1, 4), 19),
+)
+
+
+def test_criterion_24_semistandard_blocks():
+    # Block bases from semistandard fillings, each checked independent and
+    # counted against the slice; bad_q_candidates certifies each block.
+    with criterion(24, "block bases of n = 6, d = 12; badq -n 5 -d 8", 6.0):
+        bases = [(f, block_basis.__wrapped__(6, 12, lam)) for lam, f in blocks(6)]
+        cover = sum(f * len(basis) for f, basis in bases)
+        assert cover == math.comb(17, 5) == 6188
+        report = bad_q_candidates(5, 8)
+        assert report.generic_rank == BADQ_5_8_RANK
+        assert report.generic_harm_dim == math.comb(12, 8) - BADQ_5_8_RANK == 9
+        text = ",".join(map(str, report.minor_gcd))
+        assert hashlib.sha256(text.encode()).hexdigest() == BADQ_5_8_GCD_DIGEST
+        assert report.jumps == BADQ_5_8_JUMPS
+        for root, _ in report.jumps:
+            if not conjectured_root_form(root, 5)["a_in_1_to_n"]:
+                print(
+                    f"  [FINDING] bad-q form deviation: n=5 d=8 "
+                    f"root={root} is not -a/b with a in 1..5"
+                )

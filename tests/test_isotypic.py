@@ -6,7 +6,9 @@ from itertools import permutations
 
 import pytest
 
+from qsteenrod import isotypic
 from qsteenrod.isotypic import block_basis, blocks
+from qsteenrod.linalg import forward_eliminate
 from qsteenrod.polynomials import monomials_of_degree
 from qsteenrod.representations import standard_tableaux
 
@@ -116,3 +118,40 @@ def test_block_basis(n):
         total = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
         assert total == math.comb(n + d - 1, d), (n, d)
 
+
+def test_block_basis_n6():
+    # n = 6: K_{lam nu} vectors per orbit and the cover count for d <= 10,
+    # and e_T v = (n! / f_lam) v for d <= 4.
+    n = 6
+    tableaux = {lam: next(standard_tableaux(lam)) for lam, _ in blocks(n)}
+    for d in range(11):
+        columns = monomials_of_degree(n, d)
+        orbit_of = [tuple(sorted(m)) for m in columns]
+        kostka = {}
+        for lam, f in blocks(n):
+            found = Counter()
+            for vec in block_basis(n, d, lam):
+                (orbit,) = {orbit_of[j] for j in vec}
+                found[orbit] += 1
+                if d <= 4:
+                    poly = {columns[j]: c for j, c in vec.items()}
+                    image = _young_symmetrizer(poly, tableaux[lam], n)
+                    scale = math.factorial(n) // f
+                    assert image == {m: scale * c for m, c in poly.items()}, (lam, d)
+            for orbit in set(orbit_of):
+                nu = tuple(sorted(Counter(orbit).values(), reverse=True))
+                if (lam, nu) not in kostka:
+                    kostka[lam, nu] = _kostka(lam, nu)
+                assert found[orbit] == kostka[lam, nu], (lam, orbit)
+        total = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
+        assert total == math.comb(n + d - 1, d), d
+
+
+def test_dependent_block_basis_raises(monkeypatch):
+    def short(rows, ncols):
+        pivots, echelon = forward_eliminate(rows, ncols)
+        return pivots[1:], echelon[1:]
+
+    monkeypatch.setattr(isotypic, "forward_eliminate", short)
+    with pytest.raises(AssertionError, match="dependent"):
+        block_basis.__wrapped__(3, 4, (2, 1))

@@ -480,3 +480,10 @@ def test_block_whole_cached_uncached_agree(kind, n, d, q):
     uncached = BUILDERS[kind].__wrapped__(n, d, q).basis
     assert tuple(blocks(rows, n, d)) == tuple(whole(rows, n, d)) == uncached
     assert BUILDERS[kind](n, d, q).basis == uncached
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 6), st.sampled_from(BLOCK_Q))
+def test_harm_is_the_weighted_complement_of_hit(n, d, q):
+    hit = hit_component(n, d, q)
+    assert weighted_complement(hit).basis == harm_component(n, d, q).basis

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsteenrod import modular
+from qsteenrod import isotypic, modular, specialize
 from qsteenrod.cli import main
 from qsteenrod.errors import PoleError
 from qsteenrod.linalg import Matrix, sparse_rank
@@ -31,6 +31,7 @@ from qsteenrod.scalars import (
 )
 from qsteenrod.spaces import GradedSubspace, harm_component
 from qsteenrod.specialize import (
+    MinorGcd,
     _certify_rank,
     _diagonalize,
     bad_q_candidates,
@@ -452,3 +453,60 @@ def test_specialized_dimension_agrees_with_the_specialize_poly_oracle():
                 probes += 1
                 jumps += direct > first
     assert (probes, jumps) == (71, 17)
+
+
+def test_badq_short_block_basis_raises(monkeypatch):
+    # Without one vector of B_(2,1) the bases no longer cover the slice, and
+    # the block ranks and gcds would describe a smaller matrix.
+    original = isotypic.block_basis
+
+    def short(n, d, lam):
+        basis = original(n, d, lam)
+        return basis[1:] if lam == (2, 1) else basis
+
+    monkeypatch.setattr(isotypic, "block_basis", short)
+    with pytest.raises(AssertionError, match="cover"):
+        bad_q_candidates(3, 4)
+
+
+def test_badq_certifies_each_block_generically(monkeypatch):
+    # the second block, lam = (2, 1), claims one diagonal entry too many
+    calls = []
+
+    def padded(rows, ncols):
+        found = minor_gcd(rows, ncols)
+        calls.append(found)
+        if len(calls) != 2:
+            return found
+        return MinorGcd(found.diagonal + (QP_ONE,))
+
+    monkeypatch.setattr(specialize, "minor_gcd", padded)
+    with pytest.raises(AssertionError, match="rank mismatch generic"):
+        bad_q_candidates(3, 4)
+
+
+def test_badq_certifies_each_block_at_a_root(monkeypatch):
+    root = Fraction(-1, 2)
+    assert root in bad_q_candidates(3, 4).rational_roots
+    original = MinorGcd.rank_at
+    monkeypatch.setattr(
+        MinorGcd, "rank_at", lambda self, q0: original(self, q0) + (q0 == root)
+    )
+    with pytest.raises(AssertionError, match="rank mismatch at q = -1/2"):
+        bad_q_candidates(3, 4)
+
+
+def test_badq_ranks_mod_p_only_blocks(monkeypatch):
+    widths = {len(isotypic.block_basis(4, 6, lam)) for lam, _ in isotypic.blocks(4)}
+    original = modular.rank_mod_p
+    seen = []
+
+    def recording(rows, ncols, *args, **kwargs):
+        seen.append(ncols)
+        return original(rows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(modular, "rank_mod_p", recording)
+    assert bad_q_candidates(4, 6).jumps
+    assert seen and set(seen) <= widths
+    assert len(monomials_of_degree(4, 6)) == 84
+    assert 84 not in seen
