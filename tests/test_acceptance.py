@@ -54,6 +54,7 @@ from qsteenrod.specialize import (
     content_free_basis,
     evaluate_rows,
     specialize_poly,
+    specialized_dimension,
 )
 from qsteenrod.steenrod import (
     dual_pk,
@@ -644,4 +645,28 @@ def test_criterion_24_semistandard_blocks():
                 print(
                     f"  [FINDING] bad-q form deviation: n=5 d=8 "
                     f"root={root} is not -a/b with a in 1..5"
+                )
+
+
+# (generic, direct) harmonic dimensions of n = 5 at points like those verify
+# draws: two generic points and two bad values of the form -a/b, a <= 5.
+VERIFY_5_DIMENSIONS = {
+    (4, Fraction(7, 3)): (20, 20),
+    (5, Fraction(-4, 5)): (22, 26),
+    (6, Fraction(-9, 8)): (20, 20),
+    (7, Fraction(-1, 2)): (15, 25),
+}
+
+
+def test_criterion_25_verify_at_n_5():
+    # The generic dimension is read off the formal slice (the content-free
+    # lemma of criterion 17); the direct one comes from the slice at q0.
+    with criterion(25, "verify at n = 5: specialized dimensions, d = 4..7", 10.0):
+        for (d, q0), dims in VERIFY_5_DIMENSIONS.items():
+            assert specialized_dimension(5, d, q0) == dims, (d, q0)
+            generic, direct = dims
+            if direct > generic and not conjectured_root_form(q0, 5)["a_in_1_to_n"]:
+                print(
+                    f"  [FINDING] dimension jump outside the conjectured form: "
+                    f"n=5 d={d} q0={q0} is not -a/b with a in 1..5"
                 )

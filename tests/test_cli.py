@@ -378,6 +378,8 @@ PINNED_REPORTS = [
      "47519cdc254ff77630b119a3d7df4e1542d6f7e7e13253cd5a5d95439dba4367"),
     ("verify -n 3 -d 5",
      "4add65c8ae7b70c2349ee1901809934c003290a7846872fef6827871c7952e81"),
+    ("verify -n 5 -d 4",
+     "79874e44ffb89030e21a0990fb141820d7dff4c7ab550b9fd82ccbccfaf6b11e"),
     ("truncated -n 3 -d 4 -q -1/2",
      "569ffd3f94edb499f833b2080467b68a12b027002dce65fb569d5f4202be1c57"),
     ("schubert -n 3",

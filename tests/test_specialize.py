@@ -111,6 +111,20 @@ def test_specialized_dimension_examples():
         assert specialized_dimension(1, 3, q0) == (0, 0)
 
 
+def test_specialized_dimension_raises_below_the_generic(monkeypatch):
+    # the slice at q0 is built apart from the formal one; one vector short,
+    # it would contradict the content-free lemma and must not pass unseen
+    original = specialize.harm_component
+
+    def short(n, d, q):
+        space = original(n, d, q)
+        return space if q.is_formal else GradedSubspace(n, d, space.basis[1:])
+
+    monkeypatch.setattr(specialize, "harm_component", short)
+    with pytest.raises(AssertionError, match="below the generic"):
+        specialized_dimension(2, 1, Fraction(7))
+
+
 def test_rational_roots():
     roots, cofactor = rational_roots(qp(-2, -5, 3))  # (3q + 1)(q - 2)
     assert roots == [Fraction(-1, 3), Fraction(2)]
