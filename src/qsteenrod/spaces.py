@@ -56,8 +56,7 @@ from .polynomials import (
     monomials_of_degree,
 )
 from .scalars import QParam, RationalFunction, as_rf
-from .steenrod import dual_pk, make_pk, make_p_lambda, partitions_of
-from .weyl import weyl_apply
+from .steenrod import apply_dk, apply_p_lambda, apply_pk, partitions_of
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def hit_generator_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
     for k in generating_degrees(n, q):
         if k > d:
             continue
-        rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
+        rows.extend(slice_images(partial(apply_pk, k=k, q=q), n, d - k, k))
     return rows
 
 
@@ -148,7 +147,7 @@ def down_constraint_rows(
     for k in degrees:
         if k > d:
             continue
-        images = slice_images(partial(weyl_apply, dual_pk(n, k, q)), n, d, -k)
+        images = slice_images(partial(apply_dk, k=k, q=q), n, d, -k)
         targets = len(monomials_of_degree(n, d - k))
         rows.extend(r for r in transpose(images, targets) if r)
     return rows
@@ -188,9 +187,8 @@ def truncated_hit_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
         if harmonics.dim == 0:
             continue
         for lam in partitions_of(weight, max_length=n):
-            op = make_p_lambda(n, lam, q)
             for h in harmonics.basis:
-                generators.append(weyl_apply(op, h))
+                generators.append(apply_p_lambda(h, lam, q))
     return slice_rows(generators, n, d)
 
 

@@ -7,13 +7,36 @@ The degree-k generator on n variables is
 multiplication by the power sum p_k at q = 0.  Products P_mu over
 compositions mu straighten to the partition-indexed basis P_lambda through
 the commutator rule [P_k, P_l] = q (l - k) P_{k+l}.
+
+On a polynomial the operators act by two monomial rules, which
+`apply_pk`, `apply_dk` and `apply_p_lambda` follow without building an
+element of the Weyl algebra.  The Euler operator x_i d_i scales x^a by a_i,
+so the i-th term x_i^k (1 + q x_i d_i) of P_k scales x^a by 1 + q a_i and
+then multiplies it by x_i^k:
+
+    P_k . x^a = sum_i (1 + q a_i) x^(a + k e_i).
+
+The dual D_k (x^K d^L -> x^L d^K, `weyl.weyl_dual`) is
+sum_i (d_i^k + q x_i d_i^(k+1)) = sum_i (1 + q x_i d_i) d_i^k.  Here d_i^k
+takes x^a to the falling factorial a_i (a_i - 1) ... (a_i - k + 1) times
+x^(a - k e_i), zero when a_i < k, and the Euler factor then scales that by
+1 + q (a_i - k):
+
+    D_k . x^a = sum_i a_i (a_i - 1) ... (a_i - k + 1) (1 + q (a_i - k)) x^(a - k e_i).
+
+Each sends a monomial to at most n monomials, and P_mu . p is
+P_mu_1 (... (P_mu_l . p)), the parts applied right to left.  `make_pk`,
+`dual_pk` and `make_p_lambda` under `weyl.weyl_apply` give the same
+polynomials; they stay for arbitrary Weyl-algebra operators and as the
+reference the tests compare the rules with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Sequence
 
 from .errors import NonSymmetricError
 from .polynomials import Monomial, Polynomial
@@ -92,6 +115,66 @@ def dual_pk(n: int, k: int, q: QParam) -> WeylElement:
     from .weyl import weyl_dual
 
     return weyl_dual(make_pk(n, k, q))
+
+
+@lru_cache(maxsize=1024)
+def _up_weight(q: QParam, a: int) -> RationalFunction:
+    """The scalar 1 + q a by which P_k weighs x_i^(a) going to x_i^(a+k)."""
+    return 1 + q.scalar() * a
+
+
+@lru_cache(maxsize=1024)
+def _down_weight(q: QParam, k: int, a: int) -> RationalFunction:
+    """The scalar a (a - 1) ... (a - k + 1) (1 + q (a - k)) by which D_k weighs
+    x_i^(a) going to x_i^(a-k); zero when a < k."""
+    if a < k:
+        return RF_ZERO
+    return _up_weight(q, a - k) * math.perm(a, k)
+
+
+def _apply_monomial_rule(
+    p: Polynomial, shift: int, weight: Callable[[int], RationalFunction]
+) -> Polynomial:
+    """The sum over the terms c x^a of p and the variables i of
+    c weight(a_i) x^(a + shift e_i)."""
+    terms: dict[Monomial, RationalFunction] = {}
+    for mono, pc in p.terms.items():
+        for i, a in enumerate(mono):
+            w = weight(a)
+            if not w:
+                continue
+            target = mono[:i] + (a + shift,) + mono[i + 1 :]
+            value = w if pc is RF_ONE else pc * w
+            old = terms.get(target)
+            if old is None:
+                terms[target] = value
+            elif acc := old + value:
+                terms[target] = acc
+            else:
+                del terms[target]
+    return Polynomial._wrap(p.n, terms)
+
+
+def apply_pk(p: Polynomial, k: int, q: QParam) -> Polynomial:
+    """P_k . p by the rule x^a -> sum_i (1 + q a_i) x^(a + k e_i)."""
+    if k < 1:
+        raise ValueError("only positive-degree generators exist")
+    return _apply_monomial_rule(p, k, partial(_up_weight, q))
+
+
+def apply_dk(p: Polynomial, k: int, q: QParam) -> Polynomial:
+    """D_k . p by the rule
+    x^a -> sum_i a_i (a_i - 1) ... (a_i - k + 1) (1 + q (a_i - k)) x^(a - k e_i)."""
+    if k < 1:
+        raise ValueError("only positive-degree generators exist")
+    return _apply_monomial_rule(p, -k, partial(_down_weight, q, k))
+
+
+def apply_p_lambda(p: Polynomial, mu: Sequence[int], q: QParam) -> Polynomial:
+    """P_mu . p = P_mu_1 (... (P_mu_k . p)), the last part applied first."""
+    for part in reversed(mu):
+        p = apply_pk(p, part, q)
+    return p
 
 
 def straighten(mu: Sequence[int], q: QParam) -> dict[Partition, RationalFunction]:
@@ -180,7 +263,7 @@ def operator_span_rank(n: int, d: int, q: QParam, probe_cap: int) -> OperatorSpa
     lams = tuple(partitions_of(d))
     operators = [
         GradedOperator.from_callable(
-            n, d, probe_cap, partial(weyl_apply, make_p_lambda(n, lam, q))
+            n, d, probe_cap, partial(apply_p_lambda, mu=lam, q=q)
         )
         for lam in lams
     ]

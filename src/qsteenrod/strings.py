@@ -19,8 +19,7 @@ from .errors import ClassificationError, InhomogeneousError
 from .polynomials import Polynomial
 from .scalars import QParam
 from .spaces import GradedSubspace, harm_component
-from .steenrod import dual_pk
-from .weyl import weyl_apply
+from .steenrod import apply_dk
 
 
 @dataclass(frozen=True)
@@ -55,17 +54,16 @@ def build_string(g: Polynomial, q: QParam) -> HarmonicString:
     d = max(g.degree(), 0)
     entries = [g]
     for i in range(1, d + 1):
-        entries.append(-weyl_apply(dual_pk(g.n, i, q), g))
+        entries.append(-apply_dk(g, i, q))
     return HarmonicString(g.n, q, tuple(entries))
 
 
 def string_relation_holds(F: HarmonicString, k: int) -> bool:
     """Check D_k . f_i = -(1 + q i) f_{i+k} for all i (a single k)."""
     qs = F.q.scalar()
-    down = dual_pk(F.n, k, F.q)
     entries = F.entries
     for i in range(len(entries)):
-        lhs = weyl_apply(down, entries[i])
+        lhs = apply_dk(entries[i], k, F.q)
         j = i + k
         target = entries[j] if j < len(entries) else Polynomial.zero(F.n)
         rhs = target.scale(-(1 + qs * i))

@@ -127,31 +127,60 @@ def test_hit_generator_economy():
                 assert lean == all_pk_hit_basis(n, d, q), (n, d, str(q))
 
 
+def recording(applied, apply):
+    """apply, noting the degree k of each run of calls with the same k."""
+
+    def record(p, k, q):
+        if applied[-1:] != [k]:
+            applied.append(k)
+        return apply(p, k, q)
+
+    return record
+
+
+NONZERO_Q = (QParam.rational(1), QParam.rational(-1, 2), QParam.rational(13, 29))
+AT_ZERO_CASES = ((2, 5, [1, 2]), (3, 6, [1, 2, 3]), (3, 2, [1, 2]), (4, 1, [1]))
+
+
 def test_hit_applies_only_the_generating_operators(monkeypatch):
     applied = []
     rows_in = []
-
-    def recording_pk(n, k, q):
-        applied.append(k)
-        return make_pk(n, k, q)
 
     def recording_span(rows, n, d):
         rows_in.append(len(rows))
         return stable_span(rows, n, d)
 
-    monkeypatch.setattr(spaces, "make_pk", recording_pk)
+    # hit_generator_rows looks its P_k applier up in spaces
+    monkeypatch.setattr(spaces, "apply_pk", recording(applied, spaces.apply_pk))
     # hit_component looks its span solver up in spaces
     monkeypatch.setattr(spaces, "stable_span", recording_span)
     build = hit_component.__wrapped__  # bypass the slice cache
     build(4, 6, FORMAL)
     assert applied == [1, 2]
     assert rows_in == [91]  # 56 images of P_1 and 35 of P_2; all k gave 126
-    for q in (QParam.rational(1), QParam.rational(-1, 2), QParam.rational(13, 29)):
+    for q in NONZERO_Q:
         applied.clear()
         build(3, 6, q)
         assert applied == [1, 2], str(q)
     q0 = QParam.rational(0)
-    for n, d, ks in ((2, 5, [1, 2]), (3, 6, [1, 2, 3]), (3, 2, [1, 2]), (4, 1, [1])):
+    for n, d, ks in AT_ZERO_CASES:
+        applied.clear()
+        build(n, d, q0)
+        assert applied == ks, (n, d)
+
+
+def test_harm_applies_only_the_generating_down_operators(monkeypatch):
+    applied = []
+    monkeypatch.setattr(spaces, "apply_dk", recording(applied, spaces.apply_dk))
+    build = harm_component.__wrapped__  # bypass the slice cache
+    build(4, 6, FORMAL)
+    assert applied == [1, 2]
+    for q in NONZERO_Q:
+        applied.clear()
+        build(3, 6, q)
+        assert applied == [1, 2], str(q)
+    q0 = QParam.rational(0)
+    for n, d, ks in AT_ZERO_CASES:
         applied.clear()
         build(n, d, q0)
         assert applied == ks, (n, d)

@@ -3,12 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsteenrod.errors import NonSymmetricError
-from qsteenrod.polynomials import Polynomial
-from qsteenrod.scalars import QParam, RF_ONE, RF_Q, RF_ZERO
+from qsteenrod.polynomials import Polynomial, monomials_of_degree
+from qsteenrod.scalars import QParam, RF_ONE, RF_Q, RF_ZERO, rf_normalize
 from qsteenrod.linalg import echelonize
 from qsteenrod.steenrod import (
+    apply_dk,
+    apply_p_lambda,
+    apply_pk,
+    dual_pk,
     make_p_lambda,
     make_pk,
     monomial_expansion,
@@ -74,6 +79,70 @@ def test_make_pk_symmetric():
         WeylElement.monomial(3, (3, 0, 0), (1, 0, 0))
     ).scale(RF_Q)
     assert pk == sym
+
+
+RULE_Q = (
+    FORMAL,
+    QParam.rational(0),
+    QParam.rational(1),
+    QParam.rational(-1, 2),
+    QParam.rational(13, 29),
+)
+
+
+@pytest.mark.parametrize("q", RULE_Q, ids=str)
+def test_monomial_rules_match_the_weyl_algebra(q):
+    # every monomial of degree <= 5 on up to 4 variables, P_k and D_k for
+    # k <= 3, and P_lambda for every lambda |- 4
+    for n in range(1, 5):
+        ups = {k: make_pk(n, k, q) for k in (1, 2, 3)}
+        downs = {k: dual_pk(n, k, q) for k in (1, 2, 3)}
+        products = {lam: make_p_lambda(n, lam, q) for lam in partitions_of(4)}
+        for d in range(6):
+            for mono in monomials_of_degree(n, d):
+                p = Polynomial.monomial(n, mono)
+                for k in (1, 2, 3):
+                    assert apply_pk(p, k, q) == weyl_apply(ups[k], p), (n, mono, k)
+                    assert apply_dk(p, k, q) == weyl_apply(downs[k], p), (n, mono, k)
+                for lam, op in products.items():
+                    assert apply_p_lambda(p, lam, q) == weyl_apply(op, p), (n, mono, lam)
+
+
+def test_monomial_rules_reject_zero_degree():
+    p = Polynomial.one(2)
+    for apply in (apply_pk, apply_dk):
+        with pytest.raises(ValueError):
+            apply(p, 0, FORMAL)
+    assert apply_p_lambda(p, (), FORMAL) == p
+
+
+@st.composite
+def rule_polynomials(draw):
+    """Polynomials on 1..3 variables of mixed degrees <= 4, with coefficients
+    in Z[q] / Z (some terms cancel under the operators at special q)."""
+    n = draw(st.integers(1, 3))
+    monos = draw(
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6, unique=True)
+    )
+    terms = {}
+    for mono in monos:
+        num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        terms[mono] = rf_normalize(num, (draw(st.integers(1, 4)),))
+    return Polynomial(n, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule_polynomials(),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 3), max_size=3),
+    st.sampled_from(RULE_Q),
+)
+def test_monomial_rules_match_the_weyl_algebra_on_polynomials(p, k, mu, q):
+    n = p.n
+    assert apply_pk(p, k, q) == weyl_apply(make_pk(n, k, q), p)
+    assert apply_dk(p, k, q) == weyl_apply(dual_pk(n, k, q), p)
+    assert apply_p_lambda(p, mu, q) == weyl_apply(make_p_lambda(n, mu, q), p)
 
 
 def test_make_p_lambda_structure():
