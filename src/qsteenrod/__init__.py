@@ -27,10 +27,9 @@ from .polynomials import (
     factorial_weight,
     monomials_of_degree,
     permute_variables,
-    poly_mul,
     scalar_product,
 )
-from .linalg import Matrix, echelonize, kernel
+from .linalg import Matrix, echelonize
 from .weyl import (
     WeylElement,
     orbit_sum,

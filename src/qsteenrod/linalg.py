@@ -240,11 +240,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def kernel(m: Matrix) -> list[tuple[RationalFunction, ...]]:
-    """Basis of the right null space of m over Q(q)."""
-    return m.kernel()
-
-
 def row_to_poly(row: SparseRFRow, n: int, columns: list[Monomial]) -> Polynomial:
     return Polynomial(n, {columns[j]: c for j, c in row.items()})
 

@@ -274,11 +274,6 @@ class Polynomial(_SparseTerms):
         return Polynomial(n, {m + pad: c for m, c in self.terms.items()})
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact product of two polynomials over the same variables."""
-    return a * b
-
-
 def transposition(n: int, i: int) -> tuple[int, ...]:
     """The adjacent transposition s_i = (i, i+1) of S_n, in one-line notation."""
     images = list(range(1, n + 1))

@@ -265,9 +265,6 @@ class RegularRepCertificate:
     is_regular: bool
     totals: tuple[tuple[Partition, Fraction], ...]
 
-    def totals_dict(self) -> dict[Partition, Fraction]:
-        return dict(self.totals)
-
 
 def is_regular_representation(chi: GradedCharacter, n: int) -> RegularRepCertificate:
     """Whether the summed character equals the regular character of S_n."""

@@ -224,20 +224,6 @@ class HilbertSeries:
     def __getitem__(self, d: int) -> int:
         return self.coefficients[d] if 0 <= d <= self.cap else 0
 
-    def dominates(self, other: "HilbertSeries") -> bool:
-        cap = min(self.cap, other.cap)
-        return all(self[d] >= other[d] for d in range(cap + 1))
-
-    def truncated(self, cap: int) -> "HilbertSeries":
-        return HilbertSeries(tuple(self[d] for d in range(cap + 1)), cap)
-
-    def __mul__(self, other: "HilbertSeries") -> "HilbertSeries":
-        cap = min(self.cap, other.cap)
-        coeffs = tuple(
-            sum(self[i] * other[d - i] for i in range(d + 1)) for d in range(cap + 1)
-        )
-        return HilbertSeries(coeffs, cap)
-
 
 def _poly_series_product(factors: list[list[int]], cap: int) -> list[int]:
     acc = [1]
@@ -279,20 +265,11 @@ def partition_hilbert(cap: int) -> HilbertSeries:
     return HilbertSeries(coeffs, cap)
 
 
-HILBERT_KINDS = (
-    "polynomials",
-    "sym",
-    "classical-harm",
-    "partitions",
-    "harm",
-    "hit",
-    "tqharm",
-    "tqhit",
-)
+HILBERT_KINDS = ("polynomials", "sym", "classical-harm", "partitions", *COMPONENTS)
 
 
-def hilbert_of(kind: str, n: int, cap: int, q: QParam | None = None) -> HilbertSeries:
-    """Hilbert series of a graded family, computed or in closed form."""
+def hilbert_of(kind: str, n: int, cap: int) -> HilbertSeries:
+    """Hilbert series of a graded family with a closed form."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if kind == "polynomials":
@@ -303,14 +280,7 @@ def hilbert_of(kind: str, n: int, cap: int, q: QParam | None = None) -> HilbertS
         return classical_harm_hilbert(n, cap)
     if kind == "partitions":
         return partition_hilbert(cap)
-    if q is None:
-        raise ValueError(f"kind {kind!r} needs a q parameter")
-    if kind not in COMPONENTS:
-        raise ValueError(f"unknown Hilbert series kind {kind!r}")
-    build = COMPONENTS[kind]
-    return HilbertSeries(
-        tuple(build(n, d, q).dim for d in range(cap + 1)), cap
-    )
+    raise ValueError(f"no closed-form Hilbert series for kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,23 @@ def test_badq_example_invocation(capsys):
     assert row["minor_gcd"] == lib.pretty_gcd()
 
 
+@pytest.mark.parametrize(
+    "line, verdicts",
+    [
+        ("verify -n 4 -d 5", []),
+        ("character -n 4 -d 5", []),
+        ("verify -n 4 -d 6", [True]),
+        ("character -n 4 -d 6", [True]),
+    ],
+)
+def test_regular_verdict_only_for_complete_families(line, verdicts, capsys):
+    # below the top degree n(n-1)/2 the capped family cannot sum to n!
+    assert main(line.split() + ["--format", "json"]) == 0
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    got = [f["is_regular"] for f in findings if f["kind"] == "regular-representation"]
+    assert got == verdicts
+
+
 def test_json_and_csv_agree(tmp_path):
     spec = CommandSpec(command="verify", n=2, degree=3, q=FORMAL)
     report = execute(spec)
@@ -379,7 +396,7 @@ PINNED_REPORTS = [
     ("verify -n 3 -d 5",
      "4add65c8ae7b70c2349ee1901809934c003290a7846872fef6827871c7952e81"),
     ("verify -n 5 -d 4",
-     "79874e44ffb89030e21a0990fb141820d7dff4c7ab550b9fd82ccbccfaf6b11e"),
+     "b9313dbe21e6b208eb51b02e567d90facd9b8c74f07cf8482d0ea3297b57e8fd"),
     ("truncated -n 3 -d 4 -q -1/2",
      "569ffd3f94edb499f833b2080467b68a12b027002dce65fb569d5f4202be1c57"),
     ("schubert -n 3",

@@ -12,7 +12,6 @@ from qsteenrod.linalg import (
     Matrix,
     echelonize,
     forward_eliminate,
-    kernel,
     kernel_basis,
     null_space,
     reduced_echelon,
@@ -94,17 +93,17 @@ def test_echelonize_idempotent():
 
 def test_kernel_identity():
     m = Matrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert kernel(m) == []
+    assert m.kernel() == []
 
 
 def test_kernel_one_by_two():
     m = Matrix(1, 2, [[RF_ONE, RF_Q]])
-    assert kernel(m) == [(-RF_Q, RF_ONE)]
+    assert m.kernel() == [(-RF_Q, RF_ONE)]
 
 
 def test_kernel_proportional_rows():
     m = Matrix(2, 2, [[RF_ONE, RF_ONE], [RF_Q, RF_Q]])
-    vecs = kernel(m)
+    vecs = m.kernel()
     assert len(vecs) == 1
     v = vecs[0]
     # spans the line through (1, -1)
@@ -128,7 +127,7 @@ def test_rank_nullity(rows, cols, data):
         [data.draw(linpoly) for _ in range(cols)] for _ in range(rows)
     ]
     m = Matrix(rows, cols, entries)
-    assert m.rank() + len(kernel(m)) == cols
+    assert m.rank() + len(m.kernel()) == cols
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,7 +137,7 @@ def test_kernel_vectors_annihilate(rows, cols, data):
         [data.draw(linpoly) for _ in range(cols)] for _ in range(rows)
     ]
     m = Matrix(rows, cols, entries)
-    for vec in kernel(m):
+    for vec in m.kernel():
         for row in entries:
             acc = RF_ZERO
             for a, v in zip(row, vec):

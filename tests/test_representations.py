@@ -170,7 +170,7 @@ def test_graded_character_two_variables():
     assert chi.degree(1) == {(2,): Fraction(-1), (1, 1): Fraction(1)}
     cert = is_regular_representation(chi, 2)
     assert cert.is_regular
-    assert cert.totals_dict() == {(1, 1): Fraction(2), (2,): Fraction(0)}
+    assert dict(cert.totals) == {(1, 1): Fraction(2), (2,): Fraction(0)}
 
 
 def test_graded_character_formal_three_variables():
@@ -252,7 +252,7 @@ def test_regular_certificates():
     trivial_only = graded_character([harm_component(2, 0, QParam.rational(0))])
     cert = is_regular_representation(trivial_only, 2)
     assert not cert.is_regular
-    assert cert.totals_dict()[(2,)] == 1
+    assert dict(cert.totals)[(2,)] == 1
 
 
 def test_decompose_regular_character():

@@ -263,7 +263,12 @@ def test_hilbert_examples():
     assert hilbert_of("polynomials", 2, 3).coefficients == (1, 2, 3, 4)
     assert hilbert_of("sym", 2, 4).coefficients == (1, 1, 2, 2, 3)
     assert hilbert_of("partitions", 1, 6).coefficients == (1, 1, 2, 3, 5, 7, 11)
-    assert hilbert_of("harm", 2, 3, FORMAL).coefficients == (1, 1, 0, 0)
+    assert tuple(harm_component(2, d, FORMAL).dim for d in range(4)) == (1, 1, 0, 0)
+
+
+def test_hilbert_of_has_only_closed_forms():
+    with pytest.raises(ValueError, match="closed-form"):
+        hilbert_of("harm", 2, 3)
 
 
 def test_classical_harm_dimensions_match_product():
