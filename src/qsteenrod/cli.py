@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -192,6 +191,8 @@ def deserialize_subspace(data: dict) -> GradedSubspace:
 
 
 def _payload_checksum(payload: dict) -> str:
+    import hashlib  # here, not at module level: it loads OpenSSL (~3.6 MB RSS)
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -207,6 +208,8 @@ class SubspaceCache:
             raise QSteenrodError(f"cache directory {directory!r}: {exc.strerror}")
 
     def _path(self, key: str) -> str:
+        import hashlib
+
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
         return os.path.join(self.directory, f"{digest}.json")
 

@@ -21,6 +21,23 @@ form at once, with neither step.
 echelon form; ``null_space`` does so with the columns reversed, which yields
 the kernel's own reduced echelon basis from the same single elimination.
 
+Constant matrices, such as every matrix at a fixed rational q, are cleared
+and eliminated on plain integers.  ``clear_denominators`` scales a row of
+constants by the integer lcm of its denominators.  One scan per matrix, which
+stops at the first entry that is not a nonzero constant ``(c,)``, picks the
+elimination route: ``forward_eliminate`` then unpacks the entries to
+``int``s and runs the same pivot loop with an integer ``_cancel`` and gcd
+strip, and the back-substitution of ``reduced_echelon`` does the same when
+the echelon rows it gets are constant.  The integer route is the Z[q] route
+restricted to constants, step for step: the same pivot rule, the same
+cross-multiplication ``pval * row - coef * prow`` with entries in the same
+dict order, the same division by the positive gcd of the row, the same sign
+rule (first column positive) and the same reduced fractions.  So pivots,
+rows and reduced echelon forms are identical, and rows leave
+``forward_eliminate`` as ``IntPoly`` tuples on either route.  A single
+non-constant entry (or an explicit zero ``()``) keeps the whole matrix on
+the Z[q] route.
+
 Polynomials enter this linear algebra through one slice layout: column j of
 a degree-d slice is the j-th monomial of ``monomials_of_degree(n, d)``
 (descending lex).  ``slice_rows`` turns polynomials into rows over it, and
@@ -30,6 +47,7 @@ basis of the span of the rows) or ``slice_kernel`` (that of their kernel).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -56,7 +74,14 @@ SparseRFRow = dict[int, RationalFunction]
 
 
 def clear_denominators(row: SparseRFRow) -> SparseIntRow:
-    """Scale a row of rational functions to integer polynomials."""
+    """Scale a row of rational functions to integer polynomials.
+
+    A row of constants is scaled and stripped on ints, with the same result.
+    """
+    if all(v.is_constant for v in row.values()):
+        lcm = math.lcm(*(v.den[0] for v in row.values()))
+        ints = {col: v.num[0] * (lcm // v.den[0]) for col, v in row.items() if v}
+        return {col: (c,) for col, c in _strip_int(ints).items()}
     lcm = QP_ONE
     for value in row.values():
         lcm = qp_lcm(lcm, value.den)
@@ -83,12 +108,10 @@ def strip_row_gcd(row: SparseIntRow) -> SparseIntRow:
 def _cancel(row: SparseIntRow, prow: SparseIntRow, col: int) -> SparseIntRow:
     """Clear the entry of row in the pivot column col of the pivot row prow.
 
-    Cross-multiplies, prow[col] * row - row[col] * prow, and strips the gcd;
-    a row without an entry in col comes back as it is.  Pops col from row.
+    Cross-multiplies, prow[col] * row - row[col] * prow, and strips the gcd.
+    Pops col from row, which must hold an entry there.
     """
-    coef = row.pop(col, None)
-    if coef is None:
-        return row
+    coef = row.pop(col)
     pval = prow[col]
     new: SparseIntRow = {j: qp_mul(pval, v) for j, v in row.items()}
     for j, v in prow.items():
@@ -102,11 +125,49 @@ def _cancel(row: SparseIntRow, prow: SparseIntRow, col: int) -> SparseIntRow:
     return strip_row_gcd(new)
 
 
-def forward_eliminate(
-    rows: list[SparseIntRow], ncols: int
-) -> tuple[list[int], list[SparseIntRow]]:
-    """Row echelon form over Z[q]; returns pivot columns and nonzero rows."""
-    work = [dict(r) for r in rows if r]
+def _strip_int(row: dict[int, int]) -> dict[int, int]:
+    """``strip_row_gcd`` on constant entries held as ints."""
+    if not row:
+        return row
+    g = math.gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    elif g == 1:
+        return row
+    return {j: v // g for j, v in row.items()}
+
+
+def _cancel_int(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """``_cancel`` on constant entries held as ints."""
+    coef = row.pop(col)
+    pval = prow[col]
+    new = {j: pval * v for j, v in row.items()}
+    for j, v in prow.items():
+        if j == col:
+            continue
+        acc = new.get(j, 0) - coef * v
+        if acc:
+            new[j] = acc
+        else:
+            new.pop(j, None)
+    return _strip_int(new)
+
+
+def _int_ratio(num: int, den: int) -> RationalFunction:
+    """``RationalFunction.make((num,), (den,))`` for nonzero ints."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return RationalFunction((num // g,), (den // g,))
+
+
+def _constant(rows: Iterable[SparseIntRow]) -> bool:
+    """Whether every entry is a nonzero constant; stops at the first that is not."""
+    return all(len(v) == 1 for row in rows for v in row.values())
+
+
+def _echelon(work: list[dict], ncols: int, cancel) -> tuple[list[int], list[dict]]:
+    """The pivot loop of ``forward_eliminate`` on nonzero rows, in place."""
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
@@ -118,11 +179,30 @@ def forward_eliminate(
         if pivot_at is None:
             continue
         work[rank], work[pivot_at] = work[pivot_at], work[rank]
+        prow = work[rank]
         for i in range(rank + 1, len(work)):
-            work[i] = _cancel(work[i], work[rank], col)
+            if col in work[i]:
+                work[i] = cancel(work[i], prow, col)
         pivots.append(col)
         rank += 1
-    return pivots, [r for r in work[:rank]]
+    return pivots, work[:rank]
+
+
+def forward_eliminate(
+    rows: list[SparseIntRow], ncols: int
+) -> tuple[list[int], list[SparseIntRow]]:
+    """Row echelon form over Z[q]; returns pivot columns and nonzero rows.
+
+    Constant rows are eliminated on ints (module docstring); the rows come
+    back as ``IntPoly`` tuples either way.
+    """
+    live = [r for r in rows if r]
+    if not _constant(live):
+        return _echelon([dict(r) for r in live], ncols, _cancel)
+    pivots, ech = _echelon(
+        [{j: v[0] for j, v in r.items()} for r in live], ncols, _cancel_int
+    )
+    return pivots, [{j: (v,) for j, v in r.items()} for r in ech]
 
 
 def reduced_echelon(
@@ -134,15 +214,20 @@ def reduced_echelon(
     if modular.rank_mod_p(rows, ncols, ncols) == ncols:
         return list(range(ncols)), [{j: RF_ONE} for j in range(ncols)]
     pivots, ech = forward_eliminate(rows, ncols)
+    if _constant(ech):
+        ech = [{j: v[0] for j, v in r.items()} for r in ech]
+        cancel, ratio = _cancel_int, _int_ratio
+    else:
+        cancel, ratio = _cancel, RationalFunction.make
     for k in range(len(pivots) - 1, -1, -1):
+        prow, col = ech[k], pivots[k]
         for i in range(k):
-            ech[i] = _cancel(ech[i], ech[k], pivots[k])
+            if col in ech[i]:
+                ech[i] = cancel(ech[i], prow, col)
     reduced: list[SparseRFRow] = []
     for k, row in enumerate(ech):
         pval = row[pivots[k]]
-        reduced.append(
-            {j: RationalFunction.make(v, pval) for j, v in row.items()}
-        )
+        reduced.append({j: ratio(v, pval) for j, v in row.items()})
     return pivots, reduced
 
 

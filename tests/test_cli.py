@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +124,25 @@ def test_cache_roundtrip_exact(tmp_path):
     empty = harm_component(2, 2, FORMAL)
     assert empty.dim == 0
     assert cache_roundtrip(empty, str(tmp_path / "cache")) == empty
+
+
+def test_cache_free_command_loads_no_hashlib():
+    """Only the disk cache hashes, so a command without --cache-dir never
+    imports hashlib (and with it OpenSSL, about 3.6 MB of RSS)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    code = (
+        "import sys\n"
+        "from qsteenrod.cli import main\n"
+        "assert main(['hit', '-n', '3', '-d', '4', '-q', '1', '--format', 'json']) == 0\n"
+        "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 def test_cache_roundtrip_preserves_denominators(tmp_path):
@@ -412,6 +434,17 @@ PINNED_REPORTS = [
      "c22f344febda4884b071ec0dbfdb31759b20ef9d22f9070ebe91809cdea5e124"),
     ("truncated -n 4 -d 4 -q -1/2 --basis",
      "bd0cba811c90f499cb6db8a3824f7ebe67aab089cb1ec6cd08a029489fc08c58"),
+    # fixed-q commands of the benchmark's `rational` workload, eliminated on ints
+    ("hilbert --kind harm -n 5 -d 5 -q 1",
+     "76b15fe269d65f048ea4724a66ce5b21efbbaff5699d921386e51c0520eba3ae"),
+    ("character -n 5 -d 4 -q 1",
+     "b3f9a90eb06e0009882ac63b7d26b1db5c5a14c776fa5c5a9233f3f29df9221b"),
+    ("commutant -n 2 -d 6 -q 0",
+     "452c6255ad6e87187063f9c6531cc8952a51c0cdec79176e284346189a3d47a8"),
+    ("relations -n 3 -d 5 -q 1",
+     "f91525da365f61f0b416d724f2b8422cd2f7a61777092192a58c90f5fe3346cf"),
+    ("truncated -n 4 -d 4 -q 1",
+     "5ee30d2d16c5d5ad3f1faea158b0dd12573f0dc2fbf86147ea318aadbef463dd"),
 ]
 
 

@@ -1,7 +1,9 @@
 """Exact elimination: echelon forms, kernels, the slice layout."""
 
 import hashlib
+from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,7 @@ from qsteenrod.linalg import (
     row_to_poly,
     slice_images,
     slice_rows,
+    sparse_rank,
     transpose,
 )
 from qsteenrod.polynomials import Polynomial, factorial_weight, monomials_of_degree
@@ -29,6 +32,7 @@ from qsteenrod.scalars import (
     RF_Q,
     RF_ZERO,
     RationalFunction,
+    as_rf,
     qp_trim,
     rf_normalize,
 )
@@ -312,3 +316,84 @@ def test_empty_rows_take_no_elimination(monkeypatch):
         assert null_space(rows, 3) == units
     assert reduced_echelon([], 0) == ([], []) and null_space([], 0) == []
     assert calls == []
+
+
+# -- integer route: constant matrices are eliminated on ints -----------------
+
+
+@st.composite
+def constant_matrices(draw):
+    """Sparse constant matrices (entries ``(c,)``) of at most 7 x 6.
+
+    Small and huge entries of either sign, entries in random dict order,
+    zero rows, and duplicated or scaled rows, which cancel to empty.
+    """
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-2**80, 2**80)).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.sampled_from([1, -1, 2, -3]))
+        copy = {j: k * v for j, v in draw(st.sampled_from(rows)).items()}
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    return [{j: (v,) for j, v in r.items()} for r in rows], ncols
+
+
+def _both_routes(fn, rows, ncols):
+    """fn on the integer route and, with every matrix declared non-constant,
+    on the Z[q] route; rows as lists of items, so entry order counts."""
+    def run():
+        out = fn([dict(r) for r in rows], ncols)
+        if isinstance(out, int):
+            return out
+        pivots, ech = out if isinstance(out, tuple) else (None, out)
+        return pivots, [list(r.items()) for r in ech]
+
+    fast = run()
+    with mock.patch.object(linalg, "_constant", lambda rows: False):
+        return fast, run()
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_matrices())
+@example(([{0: (2,), 1: (4,)}, {0: (-1,), 1: (-2,)}, {}], 2))
+@example(([{1: (-6,), 0: (4,)}, {0: (3,), 1: (9,)}, {0: (5,), 1: (1,)}], 3))
+@example(([{0: (2**70,), 2: (-3,)}, {0: (2**70,), 2: (-3,)}, {1: (-5,)}], 3))
+def test_integer_route_matches_polynomial_route(matrix):
+    rows, ncols = matrix
+    for fn in (forward_eliminate, reduced_echelon, sparse_rank, null_space):
+        fast, slow = _both_routes(fn, rows, ncols)
+        assert fast == slow, fn.__name__
+    ech = forward_eliminate(rows, ncols)[1]
+    assert all(len(v) == 1 and v[0] for r in ech for v in r.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(constant_matrices(), st.data())
+def test_one_polynomial_entry_takes_the_polynomial_route(matrix, data):
+    rows, ncols = matrix
+    live = [i for i, r in enumerate(rows) if r]
+    if not live:
+        return
+    i = data.draw(st.sampled_from(live))
+    j = data.draw(st.sampled_from(sorted(rows[i])))
+    rows[i][j] = (rows[i][j][0], data.draw(st.integers(-3, 3).filter(bool)))
+    assert not linalg._constant(rows)
+    with mock.patch.object(linalg, "_cancel_int", None):
+        fast, slow = _both_routes(forward_eliminate, rows, ncols)
+    assert fast == slow
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(
+    st.integers(0, 5),
+    st.fractions(max_denominator=10**12).filter(lambda f: abs(f) < 2**64),
+    max_size=6,
+), max_size=4))
+@example([{0: Fraction(-3, 4), 2: Fraction(5, 6), 1: Fraction(0)}, {}, {3: Fraction(0)}])
+def test_integer_clearing_matches_polynomial_clearing(rows):
+    rows = [{j: as_rf(v) for j, v in r.items()} for r in rows]
+    fast = [list(r.items()) for r in rf_rows_to_int(rows)]
+    with mock.patch.object(RationalFunction, "is_constant", property(lambda self: False)):
+        slow = [list(r.items()) for r in rf_rows_to_int(rows)]
+    assert fast == slow
