@@ -32,6 +32,19 @@ of M over Q[q] is, up to a unit, the product of gcd(M . B_lam)^f_lam
 (`specialize.bad_q_candidates`, which certifies each block's rank by
 itself).
 
+Most rows of M . B_lam are redundant, and `pivot_rows` drops them exactly.
+Let M stack maps M_k : V_d -> V_{d-k}, each with one row per monomial of
+degree d - k.  M_k commutes with S_n, so it maps e_T V_d into e_T V_{d-k},
+and the columns of M_k . B_lam(d) are combinations of the vectors of
+B_lam(d - k): M_k . B_lam(d) = C . X with C = B_lam(d - k) as columns.  The
+exact elimination that checks B_lam(d - k) independent leaves its pivot
+columns S, on which C_S is square, invertible and constant.  The rows of
+M_k . B_lam(d) at S are C_S . X, and all its rows are C . C_S^-1 times
+them.  So the rows at S span the same module over Q[q] as all the rows:
+same rank, same gcd of maximal minors up to a unit (Cauchy-Binet both
+ways), same rank at every rational q and same kernel.  This needs
+B_lam(d - k) to span e_T V_{d-k}: `certify_cover(n, d - k)` must hold.
+
 For rows M whose kernel is S_n-stable, ker(M . B_lam) holds the
 coordinates of e_T ker M.  Moved by sigma_{T -> T'} for every standard
 tableau T' it gives e_T' ker M, and these f_lam copies span the
@@ -79,8 +92,22 @@ def _group(parts: list[tuple[int, ...]], n: int) -> list[tuple[tuple[int, ...], 
     return out
 
 
-@lru_cache(maxsize=None)
-def block_basis(n: int, d: int, lam: Partition) -> tuple[dict[int, int], ...]:
+class BlockBasis(tuple):
+    """The vectors of `block_basis`; ``pivots`` holds the ascending pivot
+    columns of the exact elimination that checked them independent, on
+    which the vectors restrict to a square invertible matrix.
+    """
+
+    pivots: tuple[int, ...]
+
+    def __new__(cls, vectors: Sequence[dict[int, int]], pivots: Sequence[int]):
+        basis = super().__new__(cls, vectors)
+        basis.pivots = tuple(pivots)
+        return basis
+
+
+@lru_cache(maxsize=256)
+def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
     """An integer basis of e_T V_d, as sparse vectors over the slice columns.
 
     Column j is the j-th monomial of `monomials_of_degree(n, d)`.  The basis
@@ -89,7 +116,8 @@ def block_basis(n: int, d: int, lam: Partition) -> tuple[dict[int, int], ...]:
     column (the row sum runs over the distinct images of m).  An orbit of
     type nu has K_{lam nu} such m.  The vectors are checked independent by
     one exact elimination over Z, else the call raises AssertionError;
-    `certify_cover` makes them a basis.
+    `certify_cover` makes them a basis.  The cache holds every degree and
+    shape that `badq -n 6 -d 12 --all-generators` asks for (143 keys).
     """
     tableau = next(standard_tableaux(lam))
     row_group = _group(tableau.rows, n)
@@ -114,9 +142,10 @@ def block_basis(n: int, d: int, lam: Partition) -> tuple[dict[int, int], ...]:
                 vec[j] = vec.get(j, 0) + sign
         basis.append({j: c for j, c in vec.items() if c})
     rows = [{j: (c,) for j, c in vec.items()} for vec in basis]
-    if len(forward_eliminate(rows, len(columns))[0]) < len(basis):
+    pivots = forward_eliminate(rows, len(columns))[0]
+    if len(pivots) < len(basis):
         raise AssertionError(f"block basis of {lam} in degree {d} is dependent")
-    return tuple(basis)
+    return BlockBasis(basis, pivots)
 
 
 def certify_cover(n: int, d: int) -> None:
@@ -155,6 +184,24 @@ def block_rows(
         if acc:
             out.append(acc)
     return out, len(basis)
+
+
+def pivot_rows(
+    stacks: dict[int, list[SparseIntRow]], n: int, d: int, lam: Partition
+) -> list[SparseIntRow]:
+    """The rows of a stack of S_n-equivariant maps that keep M . B_lam's rows.
+
+    stacks[k] is the matrix of a map V_d -> V_{d-k} with every row kept, row
+    i at the i-th monomial of `monomials_of_degree(n, d - k)`.  Taken at the
+    pivot columns of `block_basis(n, d - k, lam)`, for each k in order, the
+    rows times B_lam have the row module of M . B_lam (module docstring);
+    the caller must hold `certify_cover(n, d - k)`.
+    """
+    return [
+        stack[i]
+        for k, stack in stacks.items()
+        for i in block_basis(n, d - k, lam).pivots
+    ]
 
 
 def blocks(n: int) -> list[tuple[Partition, int]]:

@@ -140,17 +140,24 @@ def down_constraint_rows(
 ) -> list[SparseRFRow]:
     """Stacked matrix of the down operators D_k, k in degrees, on degree d.
 
-    One row per monomial of degree d - k, indexed over the degree-d monomials;
-    zero rows are dropped.  The joint kernel is the harmonic slice.
+    The rows of each `down_operator_rows` with k <= d, zero rows dropped.
+    The joint kernel is the harmonic slice.
     """
     rows: list[SparseRFRow] = []
     for k in degrees:
-        if k > d:
-            continue
-        images = slice_images(partial(apply_dk, k=k, q=q), n, d, -k)
-        targets = len(monomials_of_degree(n, d - k))
-        rows.extend(r for r in transpose(images, targets) if r)
+        if k <= d:
+            rows.extend(r for r in down_operator_rows(n, d, q, k) if r)
     return rows
+
+
+def down_operator_rows(n: int, d: int, q: QParam, k: int) -> list[SparseRFRow]:
+    """Matrix of D_k on the degree-d slice, k <= d, zero rows kept.
+
+    Row i is the i-th monomial of degree d - k, indexed over the degree-d
+    monomials.
+    """
+    images = slice_images(partial(apply_dk, k=k, q=q), n, d, -k)
+    return transpose(images, len(monomials_of_degree(n, d - k)))
 
 
 @lru_cache(maxsize=None)

@@ -27,11 +27,13 @@ Q[q].  Evaluating at a rational q0 keeps U(q0), V(q0) invertible, so
 rank M(q0) is the number of e_i with e_i(q0) != 0.  The constraint stack
 of `bad_q_candidates` is S_n-equivariant and is diagonalized one isotypic
 block M . B_lam at a time (`isotypic`, whose bases are certified to cover
-the slice); its rank at q0 is the sum over the blocks of f_lam times that
-count.  Each block's diagonal rank is checked against one mod-P rank of
-that block, run to completion (`modular.rank_mod_p`), generically and at
-each root; where they differ, an exact elimination of the block decides,
-and a rank that disagrees with it raises.
+the slice), on the rows at the target bases' pivot monomials, which span
+the same row module (`isotypic.pivot_rows`); its rank at q0 is the sum over
+the blocks of f_lam times that count.  Each block's diagonal rank is
+checked against one mod-P rank of that block, run to completion
+(`modular.rank_mod_p`), generically and at each root; where they differ,
+an exact elimination of the block decides, and a rank that disagrees with
+it raises.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Sequence
 
 from . import modular
 from .errors import PoleError
-from .isotypic import block_rows, blocks, certify_cover
+from .isotypic import block_rows, blocks, certify_cover, pivot_rows
 from .linalg import SparseIntRow, rf_rows_to_int, row_to_poly, slice_rows, sparse_rank
 from .polynomials import Polynomial, monomials_of_degree, scalar_product
 from .scalars import (
@@ -65,7 +67,7 @@ from .scalars import (
 )
 from .spaces import (
     GradedSubspace,
-    down_constraint_rows,
+    down_operator_rows,
     generating_degrees,
     harm_component,
 )
@@ -334,19 +336,33 @@ class BadQReport:
         return qp_str(self.minor_gcd)
 
 
+def constraint_stacks(
+    n: int, d: int, generator_degrees: Sequence[int]
+) -> dict[int, list[SparseIntRow]]:
+    """Integer matrix of each down operator D_k, k <= d, on the degree-d slice.
+
+    stacks[k] has one row per monomial of degree d - k, zero rows kept, as
+    `isotypic.pivot_rows` needs.  The entries are kept as they are, never
+    divided by a row content: dividing a row by a polynomial in q could
+    remove roots of the minor gcd, and those roots are the bad values of q.
+    """
+    stacks = {}
+    for k in generator_degrees:
+        if k > d:
+            continue
+        stack = down_operator_rows(n, d, FORMAL, k)
+        assert all(c.den == QP_ONE for row in stack for c in row.values())
+        stacks[k] = [{j: c.num for j, c in row.items()} for row in stack]
+    return stacks
+
+
 def harmonic_constraint_rows(
     n: int, d: int, generator_degrees: Sequence[int]
 ) -> tuple[list[SparseIntRow], int]:
-    """Stacked integer matrix of the down operators on the degree-d slice.
-
-    The entries are kept as they are, never divided by a row content:
-    dividing a row by a polynomial in q could remove roots of the minor gcd,
-    and those roots are the bad values of q.
-    """
-    rows: list[SparseIntRow] = []
-    for rf_row in down_constraint_rows(n, d, QParam.formal(), generator_degrees):
-        assert all(c.den == QP_ONE for c in rf_row.values())
-        rows.append({j: c.num for j, c in rf_row.items()})
+    """Stacked integer matrix of the down operators on the degree-d slice,
+    zero rows dropped (`constraint_stacks`), and its number of columns."""
+    stacks = constraint_stacks(n, d, generator_degrees)
+    rows = [row for stack in stacks.values() for row in stack if row]
     return rows, len(monomials_of_degree(n, d))
 
 
@@ -387,6 +403,16 @@ def _certify_rank(
         )
 
 
+def _covered_stacks(
+    n: int, d: int, degrees: Sequence[int]
+) -> dict[int, list[SparseIntRow]]:
+    """`constraint_stacks`, once the block bases cover every target degree."""
+    stacks = constraint_stacks(n, d, degrees)
+    for k in stacks:
+        certify_cover(n, d - k)
+    return stacks
+
+
 def bad_q_candidates(
     n: int, d: int, extended_generators: bool = False
 ) -> BadQReport:
@@ -397,11 +423,16 @@ def bad_q_candidates(
     diagonalizes it one S_n-isotypic block M . B_lam at a time (`isotypic`,
     `minor_gcd`): rank M is the sum of f_lam times the block ranks, and the
     gcd of its maximal minors the product of the block gcds to the powers
-    f_lam.  The rational roots of that gcd are the candidates, and the rank
-    of M at each is read off the block diagonals (see the module docstring).
-    The block bases must cover the slice (`isotypic.certify_cover`), and a
-    completed mod-P rank of each block checks its diagonal rank, generically
-    and at each root (`_certify_rank`); every root must drop the rank.  The
+    f_lam.  Each block keeps only the rows of D_k at the pivot monomials of
+    B_lam(d - k) (`isotypic.pivot_rows`): M . B_lam = C . M_lam with C the
+    target bases, square, invertible and constant on those rows, so the kept
+    rows have the row module of M . B_lam, with its rank, minor gcd, ranks
+    at rational q and kernel.  The rational roots of the gcd are the
+    candidates, and the rank of M at each is read off the block diagonals
+    (see the module docstring).  The block bases must cover the slice and
+    every target degree d - k (`isotypic.certify_cover`), and a completed
+    mod-P rank of each block checks its diagonal rank, generically and at
+    each root (`_certify_rank`); every root must drop the rank.  The
     harmonic dimension at a root is counted with the generators it needs
     there (generating_degrees, D_1..D_n at q = 0), which the stack may lack:
     their rows join the stack, whose rank at the root is eliminated exactly
@@ -413,11 +444,12 @@ def bad_q_candidates(
     degrees = generating_degrees(n, FORMAL)
     if extended_generators:
         degrees = tuple(range(1, d + 1))
-    rows, ncols = harmonic_constraint_rows(n, d, degrees)
+    ncols = len(monomials_of_degree(n, d))
     certify_cover(n, d)
+    stacks = _covered_stacks(n, d, degrees)
     parts = []
     for lam, f in blocks(n):
-        block = block_rows(rows, n, d, lam)
+        block = block_rows(pivot_rows(stacks, n, d, lam), n, d, lam)
         diagonal = minor_gcd(*block)
         _certify_rank(*block, diagonal[0])
         parts.append((lam, f, block, diagonal))
@@ -440,12 +472,11 @@ def bad_q_candidates(
             )
         extra = [k for k in generating_degrees(n, QParam(root)) if k not in degrees]
         if extra:
-            stack = rows + harmonic_constraint_rows(n, d, extra)[0]
-            specialized = evaluate_rows(stack, root)
-            dropped = sum(
-                f * sparse_rank(*block_rows(specialized, n, d, lam))
-                for lam, f, _, _ in parts
-            )
+            joined = {**stacks, **_covered_stacks(n, d, extra)}
+            dropped = 0
+            for lam, f, _, _ in parts:
+                specialized = evaluate_rows(pivot_rows(joined, n, d, lam), root)
+                dropped += f * sparse_rank(*block_rows(specialized, n, d, lam))
         if dropped < rank:
             jumps.append((root, ncols - dropped))
     return BadQReport(

@@ -117,30 +117,46 @@ def dual_pk(n: int, k: int, q: QParam) -> WeylElement:
     return weyl_dual(make_pk(n, k, q))
 
 
-@lru_cache(maxsize=1024)
-def _up_weight(q: QParam, a: int) -> RationalFunction:
-    """The scalar 1 + q a by which P_k weighs x_i^(a) going to x_i^(a+k)."""
-    return 1 + q.scalar() * a
+class _Weights(dict):
+    """Weights by exponent, each computed by rule on its first lookup."""
+
+    def __init__(self, rule: Callable[[int], RationalFunction]):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, a: int) -> RationalFunction:
+        w = self[a] = self.rule(a)
+        return w
 
 
-@lru_cache(maxsize=1024)
-def _down_weight(q: QParam, k: int, a: int) -> RationalFunction:
-    """The scalar a (a - 1) ... (a - k + 1) (1 + q (a - k)) by which D_k weighs
-    x_i^(a) going to x_i^(a-k); zero when a < k."""
-    if a < k:
-        return RF_ZERO
-    return _up_weight(q, a - k) * math.perm(a, k)
+@lru_cache(maxsize=64)
+def _up_weights(q: QParam) -> _Weights:
+    """The scalars 1 + q a by which P_k weighs x_i^(a) going to x_i^(a+k)."""
+    scalar = q.scalar()
+    return _Weights(lambda a: 1 + scalar * a)
+
+
+@lru_cache(maxsize=64)
+def _down_weights(q: QParam, k: int) -> _Weights:
+    """The scalars a (a - 1) ... (a - k + 1) (1 + q (a - k)) by which D_k
+    weighs x_i^(a) going to x_i^(a-k); zero when a < k."""
+    up = _up_weights(q)
+    return _Weights(lambda a: up[a - k] * math.perm(a, k) if a >= k else RF_ZERO)
 
 
 def _apply_monomial_rule(
-    p: Polynomial, shift: int, weight: Callable[[int], RationalFunction]
+    p: Polynomial, shift: int, weights: dict[int, RationalFunction]
 ) -> Polynomial:
     """The sum over the terms c x^a of p and the variables i of
-    c weight(a_i) x^(a + shift e_i)."""
+    c weights[a_i] x^(a + shift e_i).
+
+    The weights come as one table per operator and q, so a call looks q up
+    once rather than once per term and variable.
+    """
     terms: dict[Monomial, RationalFunction] = {}
     for mono, pc in p.terms.items():
         for i, a in enumerate(mono):
-            w = weight(a)
+            w = weights[a]
             if not w:
                 continue
             target = mono[:i] + (a + shift,) + mono[i + 1 :]
@@ -159,7 +175,7 @@ def apply_pk(p: Polynomial, k: int, q: QParam) -> Polynomial:
     """P_k . p by the rule x^a -> sum_i (1 + q a_i) x^(a + k e_i)."""
     if k < 1:
         raise ValueError("only positive-degree generators exist")
-    return _apply_monomial_rule(p, k, partial(_up_weight, q))
+    return _apply_monomial_rule(p, k, _up_weights(q))
 
 
 def apply_dk(p: Polynomial, k: int, q: QParam) -> Polynomial:
@@ -167,7 +183,7 @@ def apply_dk(p: Polynomial, k: int, q: QParam) -> Polynomial:
     x^a -> sum_i a_i (a_i - 1) ... (a_i - k + 1) (1 + q (a_i - k)) x^(a - k e_i)."""
     if k < 1:
         raise ValueError("only positive-degree generators exist")
-    return _apply_monomial_rule(p, -k, partial(_down_weight, q, k))
+    return _apply_monomial_rule(p, -k, _down_weights(q, k))
 
 
 def apply_p_lambda(p: Polynomial, mu: Sequence[int], q: QParam) -> Polynomial:

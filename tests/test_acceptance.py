@@ -670,3 +670,33 @@ def test_criterion_25_verify_at_n_5():
                     f"  [FINDING] dimension jump outside the conjectured form: "
                     f"n=5 d={d} q0={q0} is not -a/b with a in 1..5"
                 )
+
+
+# badq -n 5 -d 10 as the full blocks M . B_lam gave it in 10.9 s on a 2-core
+# VM (sha256 of the gcd's comma-joined coefficients; q-degree 337): the rows at
+# the target bases' pivot monomials must give the same report.
+BADQ_5_10_RANK = 1000
+BADQ_5_10_GCD_DIGEST = "3a4e9078ce3d5621244761b5bcfe6890c2db5c00caf5ec563b843722972c855d"
+BADQ_5_10_JUMPS = (
+    (Fraction(-1), 10),
+    (Fraction(-1, 2), 25),
+    (Fraction(-2, 5), 30),
+    (Fraction(-1, 3), 21),
+    (Fraction(-3, 10), 21),
+    (Fraction(-2, 7), 10),
+    (Fraction(-1, 4), 21),
+    (Fraction(-2, 9), 21),
+    (Fraction(-1, 5), 11),
+)
+
+
+def test_criterion_26_badq_pivot_rows():
+    with criterion(26, "badq -n 5 -d 10 on the target bases' pivot rows", 10.0):
+        report = bad_q_candidates(5, 10)
+        assert report.generic_rank == BADQ_5_10_RANK
+        assert report.generic_harm_dim == math.comb(14, 10) - BADQ_5_10_RANK == 1
+        assert len(report.minor_gcd) - 1 == 337
+        text = ",".join(map(str, report.minor_gcd))
+        assert hashlib.sha256(text.encode()).hexdigest() == BADQ_5_10_GCD_DIGEST
+        assert report.jumps == BADQ_5_10_JUMPS
+        assert report.nonrational_factors == ()

@@ -36,6 +36,7 @@ from qsteenrod.specialize import (
     _diagonalize,
     bad_q_candidates,
     conjectured_root_form,
+    constraint_stacks,
     content_free_basis,
     evaluate_rows,
     factor_over_z,
@@ -286,6 +287,58 @@ def test_blocks_match_the_whole_stack(n, top):
             whole = minor_gcd(*harmonic_constraint_rows(n, d, degrees))
             report = bad_q_candidates(n, d, extended)
             assert (report.generic_rank, report.minor_gcd) == whole, (n, d, extended)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pivot_rows_keep_the_block(n):
+    # The rows of each D_k at the pivot monomials of B_lam(d - k) against the
+    # whole block M . B_lam: the same (rank, gcd), the same rank at every
+    # root of the whole block's gcd, and the same exact rank at q = 0 with
+    # the generators D_1..D_n that q = 0 needs.
+    zero = Fraction(0)
+    for d in range(1, 8):
+        for degrees in ((1, 2), tuple(range(1, d + 1))):
+            at_zero = sorted({*degrees, *range(1, n + 1)})
+            stacks = constraint_stacks(n, d, degrees)
+            joined = constraint_stacks(n, d, at_zero)
+            rows = harmonic_constraint_rows(n, d, degrees)[0]
+            rows_at_zero = evaluate_rows(harmonic_constraint_rows(n, d, at_zero)[0], zero)
+            for e in {d} | {d - k for k in joined}:
+                isotypic.certify_cover(n, e)
+            for lam, _ in isotypic.blocks(n):
+                whole = isotypic.block_rows(rows, n, d, lam)
+                kept = isotypic.block_rows(
+                    isotypic.pivot_rows(stacks, n, d, lam), n, d, lam
+                )
+                full, compact = minor_gcd(*whole), minor_gcd(*kept)
+                assert compact == full, (n, d, degrees, lam)
+                for root in rational_roots(full[1])[0]:
+                    assert compact.rank_at(root) == full.rank_at(root)
+                selected = evaluate_rows(isotypic.pivot_rows(joined, n, d, lam), zero)
+                assert sparse_rank(
+                    *isotypic.block_rows(selected, n, d, lam)
+                ) == sparse_rank(*isotypic.block_rows(rows_at_zero, n, d, lam))
+
+
+def test_pivot_row_counts_at_5_10():
+    # sum over k = 1, 2 of |B_lam(10 - k)| rows, against 264 to 1210 nonzero
+    # rows of M . B_lam
+    stacks = constraint_stacks(5, 10, (1, 2))
+    counts = {
+        lam: len(isotypic.pivot_rows(stacks, 5, 10, lam))
+        for lam, _ in isotypic.blocks(5)
+    }
+    assert counts == {
+        (5,): 41,
+        (4, 1): 83,
+        (3, 2): 65,
+        (3, 1, 1): 53,
+        (2, 2, 1): 30,
+        (2, 1, 1, 1): 11,
+        (1, 1, 1, 1, 1): 0,
+    }
+    for lam, count in counts.items():
+        assert count == sum(len(isotypic.block_basis(5, 10 - k, lam)) for k in (1, 2))
 
 
 def test_rank_certificate(monkeypatch):
