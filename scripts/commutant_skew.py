@@ -4,13 +4,15 @@
 The plain commutant is empty for nonzero q, so this relaxes the requirement:
 for each generator P_k a fixed right-hand partner g_k is drawn from the
 partition basis of the same degree, and the linear system P_k T = T g_k is
-solved per choice of partners.  Results are reported, never asserted.
+solved per choice of partners.  Generators are passed to `commutant_search`
+as compositions: (k,) is P_k and a partition lambda is P_lambda.  Results are
+reported, never asserted.
 """
 
 import argparse
 from itertools import product
 
-from qsteenrod import QParam, make_p_lambda, make_pk, partitions_of
+from qsteenrod import QParam, partitions_of
 from qsteenrod.schubert import commutant_search
 
 
@@ -23,14 +25,11 @@ def main() -> None:
 
     n, cap = args.vars, args.cap
     q = QParam.parse(args.q)
-    lefts = [make_pk(n, k, q) for k in (1, 2)]
-    candidates = [
-        [tuple(lam) for lam in partitions_of(k)] for k in (1, 2)
-    ]
+    lefts = [(k,) for k in (1, 2)]
+    candidates = [list(partitions_of(k)) for k in (1, 2)]
     found = 0
     for choice in product(*candidates):
-        rights = [make_p_lambda(n, lam, q) for lam in choice]
-        solutions = commutant_search(n, cap, q, lefts, rights)
+        solutions = commutant_search(n, cap, q, lefts, choice)
         label = ", ".join(f"g_{k} = P_{lam}" for k, lam in zip((1, 2), choice))
         print(f"{label}: solution dimension {len(solutions)}")
         found += bool(solutions)

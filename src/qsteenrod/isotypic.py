@@ -19,8 +19,11 @@ semistandardly (weakly increasing along rows, strictly up columns): an
 orbit of type nu has K_{lam nu} of them.  One exact elimination over Z
 checks them independent, and `certify_cover` counts them against the
 slice, sum of f_lam |B_lam| = dim V_d, which makes each B_lam a basis of
-e_T V_d.  `block_rows` multiplies a matrix over Z[q] by that basis.  The
-blocks have three consumers, each of which calls `certify_cover`:
+e_T V_d.  `block_rows` multiplies a matrix over Z[q] by that basis, and
+`pivot_rows` picks rows by the pivots of the target bases; each certifies
+the cover of every degree whose bases it reads, so a basis that falls short
+raises AssertionError instead of giving a wrong rank.  The blocks have three
+consumers, none of which calls `certify_cover` itself:
 `specialize.bad_q_candidates`, `stable_kernel` (harmonic slices) and
 `stable_span` (hit and truncated-hit slices).
 
@@ -43,7 +46,8 @@ M_k . B_lam(d) at S are C_S . X, and all its rows are C . C_S^-1 times
 them.  So the rows at S span the same module over Q[q] as all the rows:
 same rank, same gcd of maximal minors up to a unit (Cauchy-Binet both
 ways), same rank at every rational q and same kernel.  This needs
-B_lam(d - k) to span e_T V_{d-k}: `certify_cover(n, d - k)` must hold.
+B_lam(d - k) to span e_T V_{d-k}, which `pivot_rows` certifies
+(`certify_cover(n, d - k)`).
 
 For rows M whose kernel is S_n-stable, ker(M . B_lam) holds the
 coordinates of e_T ker M.  Moved by sigma_{T -> T'} for every standard
@@ -51,7 +55,7 @@ tableau T' it gives e_T' ker M, and these f_lam copies span the
 lam-isotypic part of ker M.  `stable_kernel` (harmonic slices) and
 `stable_span` (hit and truncated-hit slices, the complement of ker M)
 take this route past the middle of the harmonic range (`blocks_pay`) and
-certify it: the B_lam must cover the slice (`certify_cover`) and the spread
+certify it: the B_lam must cover the slice (`block_rows`) and the spread
 must have rank sum of f_lam dim ker(M . B_lam).
 A full slice has full blocks, each certified by linalg's mod-p rank, and an
 empty spread.
@@ -122,8 +126,7 @@ def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
     tableau = next(standard_tableaux(lam))
     row_group = _group(tableau.rows, n)
     column_group = _group(tableau.columns(), n)
-    columns = monomials_of_degree(n, d)
-    index = {m: j for j, m in enumerate(columns)}
+    index = linalg.slice_index(n, d)
     # (a, b, s): b follows a along a row of T (s = 0) or up a column (s = 1)
     steps = [
         (a - 1, b - 1, s)
@@ -132,7 +135,7 @@ def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
         for a, b in zip(part, part[1:])
     ]
     basis: list[dict[int, int]] = []
-    for mono in columns:
+    for mono in index:
         if any(mono[a] + s > mono[b] for a, b, s in steps):
             continue
         vec: dict[int, int] = {}
@@ -142,7 +145,7 @@ def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
                 vec[j] = vec.get(j, 0) + sign
         basis.append({j: c for j, c in vec.items() if c})
     rows = [{j: (c,) for j, c in vec.items()} for vec in basis]
-    pivots = forward_eliminate(rows, len(columns))[0]
+    pivots = forward_eliminate(rows, len(index))[0]
     if len(pivots) < len(basis):
         raise AssertionError(f"block basis of {lam} in degree {d} is dependent")
     return BlockBasis(basis, pivots)
@@ -154,10 +157,16 @@ def certify_cover(n: int, d: int) -> None:
     Each B_lam is independent inside e_T V_d (`block_basis`), and the sum of
     f_lam dim e_T V_d is dim V_d, so the count makes every B_lam a basis.
     """
-    size = len(monomials_of_degree(n, d))
+    size = len(linalg.slice_index(n, d))
     cover = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
     if cover != size:
         raise AssertionError(f"block bases cover {cover} of the {size} slice columns")
+
+
+def _covering_basis(n: int, d: int, lam: Partition) -> BlockBasis:
+    """`block_basis(n, d, lam)`, once `certify_cover(n, d)` holds."""
+    certify_cover(n, d)
+    return block_basis(n, d, lam)
 
 
 def block_rows(
@@ -167,9 +176,11 @@ def block_rows(
 
     M is given by its rows over the degree-d slice; column k of B_lam is the
     k-th vector of `block_basis(n, d, lam)`.  The rows are integer
-    combinations of M's entries and keep their content.
+    combinations of M's entries and keep their content.  The block bases
+    must cover the slice (`certify_cover(n, d)`), or the call raises
+    AssertionError.
     """
-    basis = block_basis(n, d, lam)
+    basis = _covering_basis(n, d, lam)
     by_column: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(basis):
         for j, c in vec.items():
@@ -194,13 +205,14 @@ def pivot_rows(
     stacks[k] is the matrix of a map V_d -> V_{d-k} with every row kept, row
     i at the i-th monomial of `monomials_of_degree(n, d - k)`.  Taken at the
     pivot columns of `block_basis(n, d - k, lam)`, for each k in order, the
-    rows times B_lam have the row module of M . B_lam (module docstring);
-    the caller must hold `certify_cover(n, d - k)`.
+    rows times B_lam have the row module of M . B_lam (module docstring).
+    That needs the block bases to cover every degree d - k
+    (`certify_cover(n, d - k)`), or the call raises AssertionError.
     """
     return [
         stack[i]
         for k, stack in stacks.items()
-        for i in block_basis(n, d - k, lam).pivots
+        for i in _covering_basis(n, d - k, lam).pivots
     ]
 
 
@@ -249,12 +261,10 @@ def _spread_kernel(
     ker M meet e_T V_d = e_T ker M, which has dimension the multiplicity of
     S^lam in ker M; lifted through B_lam and moved by every sigma_{T -> T'}
     it spans the lam-isotypic part of ker M, of dimension f_lam times that.
-    The bases must cover the slice (`certify_cover`), or the call raises
+    The bases must cover the slice (`block_rows`), or the call raises
     AssertionError.
     """
-    certify_cover(n, d)
-    columns = monomials_of_degree(n, d)
-    index = {m: j for j, m in enumerate(columns)}
+    index = linalg.slice_index(n, d)
     spread: list[SparseIntRow] = []
     dim = 0
     for lam, f in blocks(n):
@@ -264,7 +274,7 @@ def _spread_kernel(
             continue
         dim += f * len(kernel)
         moves = [
-            [index[permute_monomial(m, sigma)] for m in columns]
+            [index[permute_monomial(m, sigma)] for m in index]
             for sigma in spread_permutations(lam)
         ]
         for vec in kernel:

@@ -40,15 +40,17 @@ the Z[q] route.
 
 Polynomials enter this linear algebra through one slice layout: column j of
 a degree-d slice is the j-th monomial of ``monomials_of_degree(n, d)``
-(descending lex).  ``slice_rows`` turns polynomials into rows over it, and
-they leave through one of two solvers: ``slice_span`` (the reduced echelon
-basis of the span of the rows) or ``slice_kernel`` (that of their kernel).
+(descending lex), and ``slice_index`` maps each monomial to its column.
+``slice_rows`` turns polynomials into rows over it, and they leave through
+one of two solvers: ``slice_span`` (the reduced echelon basis of the span of
+the rows) or ``slice_kernel`` (that of their kernel).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import modular
@@ -329,13 +331,25 @@ def row_to_poly(row: SparseRFRow, n: int, columns: list[Monomial]) -> Polynomial
     return Polynomial(n, {columns[j]: c for j, c in row.items()})
 
 
+@lru_cache(maxsize=256)
+def slice_index(n: int, d: int) -> dict[Monomial, int]:
+    """The column of each monomial of the degree-d slice: the j-th monomial of
+    ``monomials_of_degree(n, d)`` maps to j.
+
+    The one monomial-to-column index; it is cached and shared, so callers
+    read it and never change it.
+    """
+    return {m: j for j, m in enumerate(monomials_of_degree(n, d))}
+
+
 def slice_rows(polys: Iterable[Polynomial], n: int, d: int) -> list[SparseRFRow]:
     """Coordinates of each poly over the degree-d monomials, in one pass.
 
-    Column j is the j-th monomial of ``monomials_of_degree(n, d)``; a zero
-    poly gives an empty row, which elimination skips.
+    Column j is the j-th monomial of ``monomials_of_degree(n, d)``
+    (``slice_index``); a zero poly gives an empty row, which elimination
+    skips.
     """
-    index = {m: j for j, m in enumerate(monomials_of_degree(n, d))}
+    index = slice_index(n, d)
     rows: list[SparseRFRow] = []
     for p in polys:
         if p.n != n:

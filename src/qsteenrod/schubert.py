@@ -5,10 +5,10 @@ at v1 = v2 = 0: they square to zero, satisfy the braid relations, and
 commute with multiplication by symmetric polynomials.  Schubert polynomials
 are d_{sigma omega}(x^rho) with rho the staircase exponent.  The commutant
 search looks for graded degree -1 operators commuting with a generating set
-of Weyl operators, the machinery that fails for nonzero q.  Operators on
-graded slices (d_sigma, the generator matrices, the commutant's solutions)
-are `linalg.GradedOperator`s, re-exported here; `operator_in_span` compares
-ranks of their `linalg.operator_rows`.
+of products P_mu of the deformed power sums, the machinery that fails for
+nonzero q.  Operators on graded slices (d_sigma, the generator matrices, the
+commutant's solutions) are `linalg.GradedOperator`s, re-exported here;
+`operator_in_span` compares ranks of their `linalg.operator_rows`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .polynomials import (
 )
 from .scalars import QParam, RF_ZERO, RationalFunction
 from .spaces import generating_degrees
-from .steenrod import make_pk
-from .weyl import WeylElement, weyl_apply
+from .steenrod import Composition, apply_p_lambda
 
 Perm = tuple[int, ...]
 
@@ -157,42 +156,42 @@ def d_sigma(word: Sequence[int], n: int, cap: int) -> GradedOperator:
     )
 
 
-def default_commutant_generators(n: int, q: QParam) -> list[WeylElement]:
-    """P_1..P_n at q = 0 (multiplication by power sums); else P_1, P_2."""
-    return [make_pk(n, k, q) for k in generating_degrees(n, q)]
-
-
 def commutant_search(
     n: int,
     cap: int,
     q: QParam,
-    generators: Sequence[WeylElement] | None = None,
-    right_generators: Sequence[WeylElement] | None = None,
+    generators: Sequence[Composition] | None = None,
+    right_generators: Sequence[Composition] | None = None,
 ) -> list[GradedOperator]:
     """Degree -1 graded operators T with G T = T H for each generator pair.
 
-    By default H = G (the plain commutant).  Passing right_generators of the
-    same gradings solves the skew variant G T = T H instead, one fixed H per
-    G; this is exploratory machinery, nothing is asserted about it.  The
-    unknown is one block per degree 1..cap; each equation is imposed on the
-    degrees d where both composites stay inside the cap (d + deg G <= cap).
-    Returns the free-column basis of the solution space: each solution is 1
-    at its free unknown, its last nonzero entry, and 0 at the other free ones.
+    A generator is a composition mu, standing for P_mu = P_mu_1 ... P_mu_l
+    of degree |mu|, whose matrices come from its monomial rules
+    (`steenrod.apply_p_lambda`).  By default the G are (k,) for k in
+    `generating_degrees(n, q)`: P_1..P_n at q = 0 (multiplication by power
+    sums), else P_1, P_2; and H = G (the plain commutant).  Passing
+    right_generators of the same degrees solves the skew variant G T = T H
+    instead, one fixed H per G; this is exploratory machinery, nothing is
+    asserted about it.  The unknown is one block per degree 1..cap; each
+    equation is imposed on the degrees d where both composites stay inside
+    the cap (d + deg G <= cap).  Returns the free-column basis of the
+    solution space: each solution is 1 at its free unknown, its last nonzero
+    entry, and 0 at the other free ones.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    gens = (
-        list(generators)
-        if generators is not None
-        else default_commutant_generators(n, q)
-    )
-    rights = list(right_generators) if right_generators is not None else gens
+    if generators is None:
+        generators = [(k,) for k in generating_degrees(n, q)]
+    gens = [tuple(mu) for mu in generators]
+    rights = gens
+    if right_generators is not None:
+        rights = [tuple(mu) for mu in right_generators]
     if len(rights) != len(gens):
         raise ValueError("one right generator per left generator")
     for g, h in zip(gens, rights):
-        if g.grading() != h.grading():
+        if sum(g) != sum(h):
             raise ValueError("paired generators must share their grading")
-        if g.grading() < 1:
+        if sum(g) < 1:
             raise ValueError("generators must raise the degree")
     dims = [len(monomials_of_degree(n, d)) for d in range(cap + 1)]
     # The unknowns: the cells (d, r, c) of T, r a target of degree d - 1 and
@@ -205,22 +204,21 @@ def commutant_search(
     ]
     column = {cell: j for j, cell in enumerate(cells)}
     # Matrices of the generators up to the degree the equations reach, one
-    # per operator; with H = G the same matrix serves on both sides.
-    matrices: dict[int, GradedOperator] = {}
-    for op in (*gens, *rights):
-        if id(op) not in matrices:
-            k = op.grading()
-            matrices[id(op)] = GradedOperator.from_callable(
-                n, k, cap - k, partial(weyl_apply, op)
-            )
+    # per composition; with H = G the same matrix serves on both sides.
+    matrices = {
+        mu: GradedOperator.from_callable(
+            n, sum(mu), cap - sum(mu), partial(apply_p_lambda, mu=mu, q=q)
+        )
+        for mu in dict.fromkeys((*gens, *rights))
+    }
 
     equations: list[SparseRFRow] = []
     for gen, right in zip(gens, rights):
-        k = gen.grading()
+        k = sum(gen)
         for d in range(0, cap - k + 1):
             # G on degree d - 1 (nothing when d = 0) and H on degree d
-            left_images = matrices[id(gen)].blocks[d - 1] if d else ()
-            right_images = matrices[id(right)].blocks[d]
+            left_images = matrices[gen].blocks[d - 1] if d else ()
+            right_images = matrices[right].blocks[d]
             # for each source monomial of degree d and each target monomial of
             # degree d + k - 1: (G T - T H) entry must vanish
             for j in range(dims[d]):

@@ -129,7 +129,9 @@ def hit_generator_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
     return rows
 
 
-@lru_cache(maxsize=None)
+# The slice caches are bounded above the traffic of the benchmark commands
+# and ten more, each cold: 74 hit, 172 harm and 38 truncated-hit slices.
+@lru_cache(maxsize=128)
 def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the hit polynomials at the given q."""
     return GradedSubspace(n, d, tuple(stable_span(hit_generator_rows(n, d, q), n, d)))
@@ -160,7 +162,7 @@ def down_operator_rows(n: int, d: int, q: QParam, k: int) -> list[SparseRFRow]:
     return transpose(images, len(monomials_of_degree(n, d - k)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def harm_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the harmonic polynomials at the given q."""
     rows = down_constraint_rows(n, d, q, generating_degrees(n, q))
@@ -199,7 +201,7 @@ def truncated_hit_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
     return slice_rows(generators, n, d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def truncated_hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Span of P_lambda . h over length(lambda) <= n and classical harmonics h."""
     return GradedSubspace(n, d, tuple(stable_span(truncated_hit_rows(n, d, q), n, d)))

@@ -26,14 +26,14 @@ determinant, so U M V = diag(e_1, ..., e_r) + 0 with U, V invertible over
 Q[q].  Evaluating at a rational q0 keeps U(q0), V(q0) invertible, so
 rank M(q0) is the number of e_i with e_i(q0) != 0.  The constraint stack
 of `bad_q_candidates` is S_n-equivariant and is diagonalized one isotypic
-block M . B_lam at a time (`isotypic`, whose bases are certified to cover
-the slice), on the rows at the target bases' pivot monomials, which span
-the same row module (`isotypic.pivot_rows`); its rank at q0 is the sum over
-the blocks of f_lam times that count.  Each block's diagonal rank is
-checked against one mod-P rank of that block, run to completion
-(`modular.rank_mod_p`), generically and at each root; where they differ,
-an exact elimination of the block decides, and a rank that disagrees with
-it raises.
+block M . B_lam at a time (`isotypic`, which certifies that its bases
+cover every slice it reads), on the rows at the target bases' pivot
+monomials, which span the same row module (`isotypic.pivot_rows`); its
+rank at q0 is the sum over the blocks of f_lam times that count.  Each
+block's diagonal rank is checked against one mod-P rank of that block, run
+to completion (`modular.rank_mod_p`), generically and at each root; where
+they differ, an exact elimination of the block decides, and a rank that
+disagrees with it raises.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Sequence
 
 from . import modular
 from .errors import PoleError
-from .isotypic import block_rows, blocks, certify_cover, pivot_rows
+from .isotypic import block_rows, blocks, pivot_rows
 from .linalg import SparseIntRow, rf_rows_to_int, row_to_poly, slice_rows, sparse_rank
 from .polynomials import Polynomial, monomials_of_degree, scalar_product
 from .scalars import (
@@ -403,16 +403,6 @@ def _certify_rank(
         )
 
 
-def _covered_stacks(
-    n: int, d: int, degrees: Sequence[int]
-) -> dict[int, list[SparseIntRow]]:
-    """`constraint_stacks`, once the block bases cover every target degree."""
-    stacks = constraint_stacks(n, d, degrees)
-    for k in stacks:
-        certify_cover(n, d - k)
-    return stacks
-
-
 def bad_q_candidates(
     n: int, d: int, extended_generators: bool = False
 ) -> BadQReport:
@@ -429,15 +419,15 @@ def bad_q_candidates(
     rows have the row module of M . B_lam, with its rank, minor gcd, ranks
     at rational q and kernel.  The rational roots of the gcd are the
     candidates, and the rank of M at each is read off the block diagonals
-    (see the module docstring).  The block bases must cover the slice and
-    every target degree d - k (`isotypic.certify_cover`), and a completed
-    mod-P rank of each block checks its diagonal rank, generically and at
-    each root (`_certify_rank`); every root must drop the rank.  The
-    harmonic dimension at a root is counted with the generators it needs
-    there (generating_degrees, D_1..D_n at q = 0), which the stack may lack:
-    their rows join the stack, whose rank at the root is eliminated exactly
-    block by block.  Only roots where that dimension exceeds the generic one
-    are reported, with it, as jumps.
+    (see the module docstring).  `block_rows` and `pivot_rows` raise unless
+    the block bases cover the slice and every target degree d - k, and a
+    completed mod-P rank of each block checks its diagonal rank,
+    generically and at each root (`_certify_rank`); every root must drop
+    the rank.  The harmonic dimension at a root is counted with the
+    generators it needs there (generating_degrees, D_1..D_n at q = 0), which
+    the stack may lack: their rows join the stack, whose rank at the root is
+    eliminated exactly block by block.  Only roots where that dimension
+    exceeds the generic one are reported, with it, as jumps.
     """
     if d < 1:
         raise ValueError("degree must be positive")
@@ -445,8 +435,7 @@ def bad_q_candidates(
     if extended_generators:
         degrees = tuple(range(1, d + 1))
     ncols = len(monomials_of_degree(n, d))
-    certify_cover(n, d)
-    stacks = _covered_stacks(n, d, degrees)
+    stacks = constraint_stacks(n, d, degrees)
     parts = []
     for lam, f in blocks(n):
         block = block_rows(pivot_rows(stacks, n, d, lam), n, d, lam)
@@ -472,7 +461,7 @@ def bad_q_candidates(
             )
         extra = [k for k in generating_degrees(n, QParam(root)) if k not in degrees]
         if extra:
-            joined = {**stacks, **_covered_stacks(n, d, extra)}
+            joined = {**stacks, **constraint_stacks(n, d, extra)}
             dropped = 0
             for lam, f, _, _ in parts:
                 specialized = evaluate_rows(pivot_rows(joined, n, d, lam), root)

@@ -11,6 +11,7 @@ from qsteenrod.isotypic import block_basis, blocks
 from qsteenrod.linalg import forward_eliminate
 from qsteenrod.polynomials import monomials_of_degree
 from qsteenrod.representations import standard_tableaux
+from qsteenrod.specialize import constraint_stacks, harmonic_constraint_rows
 
 
 def _kostka(shape, content):
@@ -155,3 +156,23 @@ def test_dependent_block_basis_raises(monkeypatch):
     monkeypatch.setattr(isotypic, "forward_eliminate", short)
     with pytest.raises(AssertionError, match="dependent"):
         block_basis.__wrapped__(3, 4, (2, 1))
+
+
+def test_block_consumers_certify_the_cover_themselves(monkeypatch):
+    # With one vector of B_(2,1) in degree 3 dropped, the bases no longer
+    # span the slice; pivot_rows (target degree 4 - 1 = 3) and block_rows
+    # (degree 3) must each notice without a certify_cover by the caller.
+    real = isotypic.block_basis
+
+    def short(n, d, lam):
+        basis = real(n, d, lam)
+        if (d, lam) == (3, (2, 1)):
+            return isotypic.BlockBasis(basis[1:], basis.pivots[1:])
+        return basis
+
+    monkeypatch.setattr(isotypic, "block_basis", short)
+    with pytest.raises(AssertionError, match="cover"):
+        isotypic.pivot_rows(constraint_stacks(3, 4, (1, 2)), 3, 4, (3,))
+    rows = harmonic_constraint_rows(3, 3, (1, 2))[0]
+    with pytest.raises(AssertionError, match="cover"):
+        isotypic.block_rows(rows, 3, 3, (3,))

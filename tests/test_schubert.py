@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -28,8 +30,8 @@ from qsteenrod.schubert import (
     word_to_perm,
 )
 from qsteenrod.spaces import StaircaseSet
-from qsteenrod.steenrod import make_pk
-from qsteenrod.weyl import WeylElement
+from qsteenrod.steenrod import apply_p_lambda, make_p_lambda
+from qsteenrod.weyl import weyl_apply
 
 FORMAL = QParam.formal()
 
@@ -144,15 +146,14 @@ def test_schubert_basis_spans_staircase():
 
 
 def test_commutant_zero_generators_formal():
-    p1 = make_pk(1, 1, FORMAL)
-    assert commutant_search(1, 3, FORMAL, [p1]) == []
+    assert commutant_search(1, 3, FORMAL, [(1,)]) == []
     assert commutant_search(1, 4, FORMAL) == []
     assert commutant_search(2, 4, FORMAL) == []
 
 
 def test_commutant_rejects_generators_that_do_not_raise_degree():
     with pytest.raises(ValueError):
-        commutant_search(2, 3, FORMAL, [WeylElement.identity(2)])
+        commutant_search(2, 3, FORMAL, [()])
 
 
 def test_commutant_single_variable_oracle():
@@ -191,15 +192,37 @@ def test_commutant_applies_each_generator_once_per_monomial(monkeypatch):
     # With H = G, the matrix of G on a slice serves as the left factor on that
     # degree and as the right factor one step earlier; it is built once.
     calls = []
-    real = schubert.weyl_apply
+    real = schubert.apply_p_lambda
 
-    def counting(op, p):
-        calls.append((id(op), tuple(p.terms)))
-        return real(op, p)
+    def counting(p, mu, q):
+        calls.append((mu, tuple(p.terms)))
+        return real(p, mu, q)
 
-    monkeypatch.setattr(schubert, "weyl_apply", counting)
+    monkeypatch.setattr(schubert, "apply_p_lambda", counting)
     commutant_search(2, 6, QParam.rational(0))
     assert len(calls) == len(set(calls)) == 36
+
+
+@pytest.mark.parametrize("q", ["formal", "0", "1", "-1/2", "11/13"])
+def test_generator_matrices_match_the_weyl_route(q):
+    # commutant_search builds the matrix of P_mu on each slice by the monomial
+    # rules; the Weyl element P_mu under weyl_apply is the reference.  The
+    # blocks up to cap 6 hold those of every smaller cap.
+    q, cap = QParam.parse(q), 6
+    compositions = [
+        mu for length in (1, 2, 3) for mu in product((1, 2, 3), repeat=length)
+        if sum(mu) <= 3
+    ]
+    for n in (1, 2, 3):
+        for mu in compositions:
+            k = sum(mu)
+            rules = GradedOperator.from_callable(
+                n, k, cap - k, partial(apply_p_lambda, mu=mu, q=q)
+            )
+            weyl = GradedOperator.from_callable(
+                n, k, cap - k, partial(weyl_apply, make_p_lambda(n, mu, q))
+            )
+            assert rules.blocks == weyl.blocks, (n, mu)
 
 
 @pytest.mark.parametrize("n, cap", [(3, 4), (4, 6)])

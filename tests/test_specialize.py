@@ -303,8 +303,6 @@ def test_pivot_rows_keep_the_block(n):
             joined = constraint_stacks(n, d, at_zero)
             rows = harmonic_constraint_rows(n, d, degrees)[0]
             rows_at_zero = evaluate_rows(harmonic_constraint_rows(n, d, at_zero)[0], zero)
-            for e in {d} | {d - k for k in joined}:
-                isotypic.certify_cover(n, e)
             for lam, _ in isotypic.blocks(n):
                 whole = isotypic.block_rows(rows, n, d, lam)
                 kept = isotypic.block_rows(
