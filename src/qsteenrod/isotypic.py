@@ -63,6 +63,7 @@ empty spread.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Sequence
@@ -157,16 +158,10 @@ def certify_cover(n: int, d: int) -> None:
     Each B_lam is independent inside e_T V_d (`block_basis`), and the sum of
     f_lam dim e_T V_d is dim V_d, so the count makes every B_lam a basis.
     """
-    size = len(linalg.slice_index(n, d))
+    size = math.comb(n + d - 1, d)
     cover = sum(f * len(block_basis(n, d, lam)) for lam, f in blocks(n))
     if cover != size:
         raise AssertionError(f"block bases cover {cover} of the {size} slice columns")
-
-
-def _covering_basis(n: int, d: int, lam: Partition) -> BlockBasis:
-    """`block_basis(n, d, lam)`, once `certify_cover(n, d)` holds."""
-    certify_cover(n, d)
-    return block_basis(n, d, lam)
 
 
 def block_rows(
@@ -180,7 +175,8 @@ def block_rows(
     must cover the slice (`certify_cover(n, d)`), or the call raises
     AssertionError.
     """
-    basis = _covering_basis(n, d, lam)
+    certify_cover(n, d)
+    basis = block_basis(n, d, lam)
     by_column: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(basis):
         for j, c in vec.items():
@@ -209,10 +205,12 @@ def pivot_rows(
     That needs the block bases to cover every degree d - k
     (`certify_cover(n, d - k)`), or the call raises AssertionError.
     """
+    for k in stacks:
+        certify_cover(n, d - k)
     return [
         stack[i]
         for k, stack in stacks.items()
-        for i in _covering_basis(n, d - k, lam).pivots
+        for i in block_basis(n, d - k, lam).pivots
     ]
 
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import modular
@@ -331,14 +330,9 @@ def row_to_poly(row: SparseRFRow, n: int, columns: list[Monomial]) -> Polynomial
     return Polynomial(n, {columns[j]: c for j, c in row.items()})
 
 
-@lru_cache(maxsize=256)
 def slice_index(n: int, d: int) -> dict[Monomial, int]:
     """The column of each monomial of the degree-d slice: the j-th monomial of
-    ``monomials_of_degree(n, d)`` maps to j.
-
-    The one monomial-to-column index; it is cached and shared, so callers
-    read it and never change it.
-    """
+    ``monomials_of_degree(n, d)`` maps to j, in that order."""
     return {m: j for j, m in enumerate(monomials_of_degree(n, d))}
 
 

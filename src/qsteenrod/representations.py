@@ -154,7 +154,7 @@ def _beta_to_partition(beta: tuple[int, ...]) -> Partition:
     return tuple(part for part in lam if part)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512)  # every (lam, ct) with n <= 7 is 435 keys
 def sn_character(lam: Partition, ct: Partition) -> int:
     """Irreducible character value chi^lambda on the class of cycle type ct."""
     if sum(lam) != sum(ct):

@@ -129,9 +129,6 @@ def hit_generator_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
     return rows
 
 
-# The slice caches are bounded above the traffic of the benchmark commands
-# and ten more, each cold: 74 hit, 172 harm and 38 truncated-hit slices.
-@lru_cache(maxsize=128)
 def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the hit polynomials at the given q."""
     return GradedSubspace(n, d, tuple(stable_span(hit_generator_rows(n, d, q), n, d)))
@@ -162,6 +159,9 @@ def down_operator_rows(n: int, d: int, q: QParam, k: int) -> list[SparseRFRow]:
     return transpose(images, len(monomials_of_degree(n, d - k)))
 
 
+# The slice caches are bounded above the traffic of the benchmark commands
+# and four more, each cold: 152 harm and 17 truncated-hit slices.  Hit slices
+# are not cached: none of those commands asks for one twice.
 @lru_cache(maxsize=256)
 def harm_component(n: int, d: int, q: QParam) -> GradedSubspace:
     """Degree-d slice of the harmonic polynomials at the given q."""

@@ -27,7 +27,7 @@ from .scalars import RF_ONE, RF_ZERO, RationalFunction
 WeylKey = tuple[Monomial, Monomial]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)  # every exponent pair (b, c) below 32
 def _reorder_coeffs(b: int, c: int) -> tuple[int, ...]:
     """Coefficients of d^b x^c by the number of contractions j."""
     return tuple(

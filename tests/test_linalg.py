@@ -282,7 +282,7 @@ def test_one_elimination_per_harmonic_slice(monkeypatch):
     assert counts == {"forward_eliminate": 1, "echelonize": 0}
     # degree 3 is the top harmonic degree of n = 3, so this hit slice is not
     # the whole slice and its complement needs the exact elimination
-    hit = spaces.hit_component.__wrapped__(3, 3, QParam.rational(-2, 3))
+    hit = spaces.hit_component(3, 3, QParam.rational(-2, 3))
     assert 0 < hit.dim < len(monomials_of_degree(3, 3))
     counts["forward_eliminate"] = 0
     comp = spaces.weighted_complement(hit)
@@ -300,7 +300,7 @@ def test_full_slices_take_no_exact_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "forward_eliminate", counting)
     # degree 4 lies above the top harmonic degree 3 of n = 3: the mod-p rank
     # certifies full column rank for the hit slice and for its complement
-    hit = spaces.hit_component.__wrapped__(3, 4, QParam.rational(-2, 3))
+    hit = spaces.hit_component(3, 4, QParam.rational(-2, 3))
     assert hit.dim == len(monomials_of_degree(3, 4))
     assert spaces.weighted_complement(hit).dim == 0
     assert spaces.harm_component.__wrapped__(3, 4, FORMAL).dim == 0

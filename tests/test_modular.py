@@ -21,7 +21,7 @@ Q_VALUES = (
     QParam.rational(0),
     QParam.rational(13, 29),
 )
-CACHED = (spaces.harm_component, spaces.hit_component, spaces.truncated_hit_component)
+CACHED = (spaces.harm_component, spaces.truncated_hit_component)
 
 
 def _slices(n, d, q, truncated=True):
@@ -81,7 +81,7 @@ def test_short_certificate_falls_back_to_exact(monkeypatch):
         return forward_eliminate(*args)
 
     monkeypatch.setattr(linalg, "forward_eliminate", counting)
-    hit = spaces.hit_component.__wrapped__(3, 5, FORMAL)
+    hit = spaces.hit_component(3, 5, FORMAL)
     assert hit.dim == len(monomials_of_degree(3, 5))
     assert spaces.harm_component.__wrapped__(3, 5, FORMAL).dim == 0
     # degree 5 is past the middle of n = 3's harmonic range: each slice

@@ -15,15 +15,28 @@ WEYL_ROUTE = {"weyl_apply", "weyl_compose", "make_pk", "dual_pk", "make_p_lambda
 WEYL_OWNERS = {"weyl", "steenrod", "__init__"}
 
 
-def test_only_the_algebra_modules_import_the_weyl_route():
+def _weyl_route_names(tree):
+    """Every name of the Weyl route a module mentions, however it is reached:
+    imported by name (aliased or not), read as an attribute of a module
+    (``weyl.weyl_apply``, ``s.make_pk``), or looked up by string."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_the_algebra_modules_take_the_weyl_route():
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem in WEYL_OWNERS:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names} & WEYL_ROUTE
-                offenders.extend(f"{path.name}: {name}" for name in sorted(names))
+        names = set(_weyl_route_names(ast.parse(path.read_text()))) & WEYL_ROUTE
+        offenders.extend(f"{path.name}: {name}" for name in sorted(names))
     assert offenders == []
 
 
@@ -34,5 +47,5 @@ def test_every_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert {"spaces.harm_component", "linalg.slice_index"} <= set(sizes)
+    assert {"spaces.harm_component", "isotypic.block_basis"} <= set(sizes)
     assert [name for name, size in sizes.items() if size is None] == []

@@ -2,8 +2,6 @@
 
 import random
 from fractions import Fraction
-from functools import partial
-from itertools import product
 
 import pytest
 
@@ -30,8 +28,6 @@ from qsteenrod.schubert import (
     word_to_perm,
 )
 from qsteenrod.spaces import StaircaseSet
-from qsteenrod.steenrod import apply_p_lambda, make_p_lambda
-from qsteenrod.weyl import weyl_apply
 
 FORMAL = QParam.formal()
 
@@ -201,28 +197,6 @@ def test_commutant_applies_each_generator_once_per_monomial(monkeypatch):
     monkeypatch.setattr(schubert, "apply_p_lambda", counting)
     commutant_search(2, 6, QParam.rational(0))
     assert len(calls) == len(set(calls)) == 36
-
-
-@pytest.mark.parametrize("q", ["formal", "0", "1", "-1/2", "11/13"])
-def test_generator_matrices_match_the_weyl_route(q):
-    # commutant_search builds the matrix of P_mu on each slice by the monomial
-    # rules; the Weyl element P_mu under weyl_apply is the reference.  The
-    # blocks up to cap 6 hold those of every smaller cap.
-    q, cap = QParam.parse(q), 6
-    compositions = [
-        mu for length in (1, 2, 3) for mu in product((1, 2, 3), repeat=length)
-        if sum(mu) <= 3
-    ]
-    for n in (1, 2, 3):
-        for mu in compositions:
-            k = sum(mu)
-            rules = GradedOperator.from_callable(
-                n, k, cap - k, partial(apply_p_lambda, mu=mu, q=q)
-            )
-            weyl = GradedOperator.from_callable(
-                n, k, cap - k, partial(weyl_apply, make_p_lambda(n, mu, q))
-            )
-            assert rules.blocks == weyl.blocks, (n, mu)
 
 
 @pytest.mark.parametrize("n, cap", [(3, 4), (4, 6)])

@@ -154,7 +154,7 @@ def test_hit_applies_only_the_generating_operators(monkeypatch):
     monkeypatch.setattr(spaces, "apply_pk", recording(applied, spaces.apply_pk))
     # hit_component looks its span solver up in spaces
     monkeypatch.setattr(spaces, "stable_span", recording_span)
-    build = hit_component.__wrapped__  # bypass the slice cache
+    build = hit_component
     build(4, 6, FORMAL)
     assert applied == [1, 2]
     assert rows_in == [91]  # 56 images of P_1 and 35 of P_2; all k gave 126
@@ -448,6 +448,11 @@ BUILDERS = {
 }
 
 
+def _uncached(build):
+    """The slice builder past its lru_cache (hit slices have none)."""
+    return getattr(build, "__wrapped__", build)
+
+
 def _routes(kind, n, d, q):
     """The rows of one slice, its block solver and its whole-slice solver."""
     if kind == "harm":
@@ -482,7 +487,7 @@ def test_short_spread_raises(monkeypatch):
     assert isotypic.blocks_pay(3, 2)
     for build in BUILDERS.values():
         with pytest.raises(AssertionError, match="spread"):
-            build.__wrapped__(3, 2, FORMAL)
+            _uncached(build)(3, 2, FORMAL)
 
 
 def test_short_block_basis_raises(monkeypatch):
@@ -499,7 +504,7 @@ def test_short_block_basis_raises(monkeypatch):
         assert isotypic.blocks_pay(3, d)
         for build in BUILDERS.values():
             with pytest.raises(AssertionError, match="cover"):
-                build.__wrapped__(3, d, FORMAL)
+                _uncached(build)(3, d, FORMAL)
 
 
 @settings(max_examples=30, deadline=None)
@@ -511,7 +516,7 @@ def test_short_block_basis_raises(monkeypatch):
 )
 def test_block_whole_cached_uncached_agree(kind, n, d, q):
     rows, blocks, whole = _routes(kind, n, d, q)
-    uncached = BUILDERS[kind].__wrapped__(n, d, q).basis
+    uncached = _uncached(BUILDERS[kind])(n, d, q).basis
     assert tuple(blocks(rows, n, d)) == tuple(whole(rows, n, d)) == uncached
     assert BUILDERS[kind](n, d, q).basis == uncached
 

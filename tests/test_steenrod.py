@@ -93,11 +93,15 @@ RULE_Q = (
 @pytest.mark.parametrize("q", RULE_Q, ids=str)
 def test_monomial_rules_match_the_weyl_algebra(q):
     # every monomial of degree <= 5 on up to 4 variables, P_k and D_k for
-    # k <= 3, and P_lambda for every lambda |- 4
+    # k <= 3, P_lambda for every lambda |- 4 and P_mu for every composition
+    # mu of 1..3 (the commutant's generators)
+    compositions = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 2), (1, 1, 1)]
     for n in range(1, 5):
         ups = {k: make_pk(n, k, q) for k in (1, 2, 3)}
         downs = {k: dual_pk(n, k, q) for k in (1, 2, 3)}
-        products = {lam: make_p_lambda(n, lam, q) for lam in partitions_of(4)}
+        products = {
+            mu: make_p_lambda(n, mu, q) for mu in [*partitions_of(4), *compositions]
+        }
         for d in range(6):
             for mono in monomials_of_degree(n, d):
                 p = Polynomial.monomial(n, mono)
