@@ -99,6 +99,10 @@ def qp_scale(a: IntPoly, c: int) -> IntPoly:
     return tuple(v * c for v in a)
 
 
+def qp_derivative(a: IntPoly) -> IntPoly:
+    return tuple(i * c for i, c in enumerate(a))[1:]
+
+
 def qp_eval(a: IntPoly, q0: Fraction) -> Fraction:
     """Evaluate at a rational point (Horner)."""
     acc = Fraction(0)

@@ -15,9 +15,12 @@ exact.  Each pivot is the entry of least q-degree, then fewest coefficient
 bits, then least Markowitz fill-in count; the pivot order decides only how
 large the intermediate entries grow, never the result, because every order
 is a unimodular diagonalization with the same determinantal divisors.
-The rational roots come from the linear factors of the gcd over Z;
-the remaining factors are split into irreducibles.  A root is a bad value
-only if the harmonic space there is larger than the generic one.
+The rational roots of the gcd are found by p-adic lifting in integer
+arithmetic (`rational_roots`): the roots of its square-free part mod a
+prime are lifted, read back as fractions and each certified by an exact
+zero test.  Only a rootless cofactor of degree >= 2 is split into
+irreducibles, by sympy (`factor_over_z`).  A root is a bad value only if
+the harmonic space there is larger than the generic one.
 
 Ranks at the roots are read off the diagonal.  Every step of the
 diagonalization (swaps, nonzero integer scalings, adding polynomial
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from . import modular
@@ -55,7 +58,10 @@ from .scalars import (
     QP_ONE,
     RationalFunction,
     qp_content,
+    qp_derivative,
+    qp_div_exact,
     qp_eval,
+    qp_gcd,
     qp_mul,
     qp_neg,
     qp_primitive,
@@ -283,26 +289,121 @@ def _content_free(values: list[IntPoly]) -> list[IntPoly]:
 def rational_roots(p: IntPoly) -> tuple[list[Fraction], IntPoly]:
     """All rational roots of p (as a set) and the rootless cofactor.
 
-    The roots are -a/b over the linear factors b*q + a of p over Z; the
-    cofactor is the product of the other factors with multiplicity, primitive
-    with positive leading coefficient and without rational roots.
+    The cofactor is the primitive part of p divided by b*q - a, as often as
+    it divides, for each root a/b, with positive leading coefficient; it has
+    no rational roots.  The power of q gives the root 0; the other roots are
+    those of the square-free part s of the rest, found p-adically (Loos
+    1983): every root a/b of s has b | lc(s) and a | s(0), so for a prime P
+    not dividing lc(s) it is a root of s mod P, simple when every root of s
+    mod P is.  Each root mod P is Newton-lifted to a root mod P^(2^i) >
+    2 |lc(s) s(0)| and read back as the unique a/b with |a| <= |s(0)| and
+    0 < b <= |lc(s)| by the half-extended Euclidean algorithm.  A candidate
+    is kept only if s(a/b) = 0 exactly, which certifies every root returned.
     """
     if not p:
         raise ValueError("the zero polynomial vanishes everywhere")
-    roots: set[Fraction] = set()
-    cofactor = QP_ONE
-    for factor in factor_over_z(p):
-        if len(factor) == 2:
-            roots.add(Fraction(-factor[0], factor[1]))
-        else:
-            cofactor = qp_mul(cofactor, factor)
+    shift = next(i for i, c in enumerate(p) if c)
+    cofactor = qp_primitive(p[shift:])
+    roots = []
+    if len(cofactor) > 1:
+        repeated = qp_gcd(cofactor, qp_derivative(cofactor))
+        roots = _lifted_roots(qp_div_exact(cofactor, repeated))
+    for root in roots:
+        linear = (-root.numerator, root.denominator)
+        while True:
+            try:
+                cofactor = qp_div_exact(cofactor, linear)
+            except ArithmeticError:
+                break
+    if shift:
+        roots.append(Fraction(0))
     if cofactor[-1] < 0:
         cofactor = qp_neg(cofactor)
     return sorted(roots), cofactor
 
 
+# The first prime the root search tries; larger primes follow while P divides
+# the leading coefficient or a root mod P is multiple.  Finding the roots mod P
+# costs P evaluations, so it starts small, but above the cross differences
+# a*d - b*c of most pairs of roots a/b, c/d met: every minor gcd of
+# bad_q_candidates up to n = 5, d = 12 takes the first.
+_FIRST_PRIME = 101
+
+
+def _value_mod(p: IntPoly, x: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % modulus
+    return acc
+
+
+def _next_prime(n: int) -> int:
+    """The least prime above n (trial division: the primes tried stay small)."""
+    n += 1
+    while any(n % f == 0 for f in range(2, isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _lifted_roots(s: IntPoly) -> list[Fraction]:
+    """The rational roots of a square-free s of positive degree with s(0) != 0.
+
+    See `rational_roots`: the roots of s mod the first prime P from
+    _FIRST_PRIME that does not divide lc(s) and at which every root of s is
+    simple, Newton-lifted, rebuilt as fractions and kept if s vanishes there.
+    """
+    slope = qp_derivative(s)
+    prime = _FIRST_PRIME
+    while True:
+        if s[-1] % prime:
+            residues = [r for r in range(prime) if not _value_mod(s, r, prime)]
+            if all(_value_mod(slope, r, prime) for r in residues):
+                break
+        prime = _next_prime(prime)
+    num_bound, den_bound = abs(s[0]), abs(s[-1])
+    modulus = prime
+    while modulus <= 2 * num_bound * den_bound:
+        modulus *= modulus
+    roots = []
+    for r in residues:
+        lifted = prime
+        while lifted < modulus:
+            lifted *= lifted
+            inverse = pow(_value_mod(slope, r, lifted), -1, lifted)
+            r = (r - _value_mod(s, r, lifted) * inverse) % lifted
+        candidate = _rational_from_residue(r, modulus, num_bound, den_bound)
+        if candidate is not None and not qp_eval(s, candidate):
+            roots.append(candidate)
+    return roots
+
+
+def _rational_from_residue(
+    u: int, modulus: int, num_bound: int, den_bound: int
+) -> Fraction | None:
+    """The a/b with a = b u mod modulus, |a| <= num_bound, 0 < b <= den_bound.
+
+    Half-extended Euclid on (modulus, u): the remainder r_j = t_j u mod
+    modulus that first drops to num_bound or below gives r_j / t_j, which is
+    the only such fraction when 2 num_bound den_bound < modulus (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 5.10).  None if t_j is out
+    of bounds.
+    """
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > num_bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        t0, t1 = t1, t0 - quo * t1
+    if not 0 < abs(t1) <= den_bound:
+        return None
+    return Fraction(r1, t1)
+
+
 def factor_over_z(p: IntPoly) -> list[IntPoly]:
-    """Irreducible integer-polynomial factors of p (content dropped)."""
+    """Irreducible integer-polynomial factors of p (content dropped).
+
+    The one use of sympy: `bad_q_candidates` splits only the rootless
+    cofactor of the minor gcd here, and a constant one imports nothing.
+    """
     if len(p) <= 1:
         return []
     import sympy

@@ -23,7 +23,7 @@ from qsteenrod.cli import (
     _payload_checksum,
 )
 from qsteenrod.polynomials import Polynomial
-from qsteenrod.scalars import QParam, RF_Q
+from qsteenrod.scalars import QParam, RF_Q, qp_mul
 from qsteenrod.spaces import harm_component
 from qsteenrod.specialize import bad_q_candidates
 
@@ -143,6 +143,49 @@ def test_cache_free_command_loads_no_hashlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False False"
+
+
+def test_badq_loads_no_sympy():
+    """The rational roots of the minor gcd are found in house, so a badq
+    whose gcd has no rootless factor never imports sympy (about 33 MB of RSS)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    code = (
+        "import sys\n"
+        "from qsteenrod.cli import main\n"
+        "argv = ['badq', '-n', '4', '-d', '5', '--all-generators', '--format', 'json']\n"
+        "assert main(argv) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_badq_lists_a_rootless_factor_of_the_gcd(monkeypatch, capsys):
+    """A rootless quadratic factor of the minor gcd reaches factor_over_z and
+    is reported; q^2 + 1 is multiplied into the first diagonal entry of every
+    block, which changes no rank at a rational q."""
+    from qsteenrod import specialize
+
+    roots = [str(r) for r in bad_q_candidates(2, 4).rational_roots]
+    original = specialize.minor_gcd
+
+    def with_rootless(rows, ncols):
+        diagonal = list(original(rows, ncols).diagonal)
+        if diagonal:
+            diagonal[0] = qp_mul(diagonal[0], (1, 0, 1))
+        return specialize.MinorGcd(diagonal)
+
+    monkeypatch.setattr(specialize, "minor_gcd", with_rootless)
+    assert main(["badq", "-n", "2", "-d", "4", "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["tables"][0]
+    assert row["nonrational_factors"]
+    assert {tuple(f) for f in row["nonrational_factors"]} == {(1, 0, 1)}
+    assert row["rational_roots"] == roots
 
 
 def test_cache_roundtrip_preserves_denominators(tmp_path):

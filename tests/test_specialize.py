@@ -134,6 +134,13 @@ def test_rational_roots():
     assert roots == [Fraction(-1), Fraction(0)]
     roots, cofactor = rational_roots(qp(1, 0, 1))
     assert roots == [] and cofactor == qp(1, 0, 1)
+    # the first prime the root search tries divides a denominator, and then
+    # is a double root mod that prime
+    first = specialize._FIRST_PRIME
+    roots, cofactor = rational_roots(qp_mul(qp(1, first), qp(-3, 1)))
+    assert roots == [Fraction(-1, first), Fraction(3)] and cofactor == (1,)
+    roots, cofactor = rational_roots(qp_mul(qp(-1, 1), qp(-1 - first, 1)))
+    assert roots == [Fraction(1), Fraction(1 + first)] and cofactor == (1,)
 
 
 def test_rational_roots_of_random_products():
@@ -151,6 +158,58 @@ def test_rational_roots_of_random_products():
             factor = rng.choice(rootless)
             p, cofactor = qp_mul(p, factor), qp_mul(cofactor, factor)
         assert rational_roots(p) == (sorted(roots), cofactor)
+
+
+def _sympy_roots(p):
+    """The rational roots and rootless cofactor of p from sympy's factorization."""
+    import sympy
+
+    _, factors = sympy.Poly(p[::-1], sympy.Symbol("q")).factor_list()
+    roots, cofactor = set(), QP_ONE
+    for base, multiplicity in factors:
+        factor = qp_primitive(tuple(int(c) for c in reversed(base.all_coeffs())))
+        if len(factor) == 2:
+            roots.add(Fraction(-factor[0], factor[1]))
+        else:
+            for _ in range(multiplicity):
+                cofactor = qp_mul(cofactor, factor)
+    if cofactor[-1] < 0:
+        cofactor = qp_neg(cofactor)
+    return sorted(roots), cofactor
+
+
+ROOTLESS = [qp(1, 0, 1), qp(1, 0, 2), qp(-2, 0, 0, 1), qp(1, 1, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 60), st.integers(-60, 60), st.integers(1, 3)),
+        max_size=5,
+    ),
+    st.integers(0, 3),
+    st.integers(-40, 40).filter(lambda c: abs(c) > 1),
+    st.lists(st.sampled_from(ROOTLESS), max_size=3),
+)
+def test_rational_roots_against_sympy(linear, shift, content, rootless):
+    # (b q + a)^m for each (b, a, m), times q^shift, the content and the
+    # rootless factors
+    p = qp(content)
+    for b, a, m in linear:
+        for _ in range(m):
+            p = qp_mul(p, qp(a, b))
+    for factor in rootless:
+        p = qp_mul(p, factor)
+    p = (0,) * shift + p
+    assert rational_roots(p) == _sympy_roots(p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rational_roots_of_minor_gcds_against_sympy(n):
+    for d in range(1, 8):
+        for extended in (False, True):
+            gcd = bad_q_candidates(n, d, extended).minor_gcd
+            assert rational_roots(gcd) == _sympy_roots(gcd), (n, d, extended)
 
 
 def test_factor_over_z():
