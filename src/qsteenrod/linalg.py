@@ -14,7 +14,10 @@ certificate of ``modular.rank_mod_p``: the rank at one seeded point mod a
 61-bit prime is a lower bound on the rank over Q(q), so when it already equals
 ncols (or min(nonzero rows, ncols) for ``sparse_rank``) the answer is known
 exactly: the rank, and, the RREF being unique, the identity rows.  Otherwise
-the exact elimination runs as it is.  Rows that are all empty (none at all,
+the exact elimination runs as it is.  ``steenrod.operator_span_rank`` asks
+the same certificate of its probe cells one source degree at a time
+(``modular.Echelon``) and stops at the first degree that gives it, before
+the later cells are built.  Rows that are all empty (none at all,
 such as the spread of a full slice's block kernels) give the empty echelon
 form at once, with neither step.
 ``kernel_basis`` reads one kernel vector per free column off a reduced

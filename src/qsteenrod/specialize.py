@@ -18,9 +18,11 @@ is a unimodular diagonalization with the same determinantal divisors.
 The rational roots of the gcd are found by p-adic lifting in integer
 arithmetic (`rational_roots`): the roots of its square-free part mod a
 prime are lifted, read back as fractions and each certified by an exact
-zero test.  Only a rootless cofactor of degree >= 2 is split into
-irreducibles, by sympy (`factor_over_z`).  A root is a bad value only if
-the harmonic space there is larger than the generic one.
+zero test.  The gcd of `bad_q_candidates` is a product of block gcds to
+powers, and each distinct block gcd is searched once
+(`product_rational_roots`).  Only a rootless cofactor of degree >= 2 is
+split into irreducibles, by sympy (`factor_over_z`).  A root is a bad
+value only if the harmonic space there is larger than the generic one.
 
 Ranks at the roots are read off the diagonal.  Every step of the
 diagonalization (swaps, nonzero integer scalings, adding polynomial
@@ -322,6 +324,37 @@ def rational_roots(p: IntPoly) -> tuple[list[Fraction], IntPoly]:
     return sorted(roots), cofactor
 
 
+def _power_product(powers: dict[IntPoly, int]) -> IntPoly:
+    """The product of g^f over the items (g, f) of powers."""
+    out = QP_ONE
+    for g, f in powers.items():
+        for _ in range(f):
+            out = qp_mul(out, g)
+    return out
+
+
+def product_rational_roots(
+    powers: dict[IntPoly, int],
+) -> tuple[list[Fraction], IntPoly]:
+    """`rational_roots` of the product of g^f over the items (g, f) of powers,
+    each g primitive with a positive leading coefficient, from each g once.
+
+    The roots of the product are those of its factors.  Each cofactor is
+    primitive with a positive leading coefficient and has no rational root,
+    so, by Gauss's lemma, the product of the cofactors^f is primitive, has
+    none either, and is the cofactor of the product.  This skips the
+    square-free part of the product and the division of each root out of it
+    as often as the powers repeat it.
+    """
+    roots: set[Fraction] = set()
+    cofactors: dict[IntPoly, int] = {}
+    for g, f in powers.items():
+        g_roots, g_cofactor = rational_roots(g)
+        roots.update(g_roots)
+        cofactors[g_cofactor] = cofactors.get(g_cofactor, 0) + f
+    return sorted(roots), _power_product(cofactors)
+
+
 # The first prime the root search tries; larger primes follow while P divides
 # the leading coefficient or a root mod P is multiple.  Finding the roots mod P
 # costs P evaluations, so it starts small, but above the cross differences
@@ -518,7 +551,8 @@ def bad_q_candidates(
     B_lam(d - k) (`isotypic.pivot_rows`): M . B_lam = C . M_lam with C the
     target bases, square, invertible and constant on those rows, so the kept
     rows have the row module of M . B_lam, with its rank, minor gcd, ranks
-    at rational q and kernel.  The rational roots of the gcd are the
+    at rational q and kernel.  The rational roots of the gcd, read from
+    each distinct block gcd once (`product_rational_roots`), are the
     candidates, and the rank of M at each is read off the block diagonals
     (see the module docstring).  `block_rows` and `pivot_rows` raise unless
     the block bases cover the slice and every target degree d - k, and a
@@ -544,11 +578,11 @@ def bad_q_candidates(
         _certify_rank(*block, diagonal[0])
         parts.append((lam, f, block, diagonal))
     rank = sum(f * block_rank for _, f, _, (block_rank, _) in parts)
-    gcd = QP_ONE  # primitive factors with positive leading coefficients
+    powers: dict[IntPoly, int] = {}  # primitive, positive leading coefficients
     for _, f, _, (_, block_gcd) in parts:
-        for _ in range(f):
-            gcd = qp_mul(gcd, block_gcd)
-    roots, cofactor = rational_roots(gcd)
+        powers[block_gcd] = powers.get(block_gcd, 0) + f
+    gcd = _power_product(powers)
+    roots, cofactor = product_rational_roots(powers)
     jumps = []
     for root in roots:
         dropped = 0

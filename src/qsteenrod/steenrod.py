@@ -38,16 +38,19 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
+from . import modular
 from .errors import NonSymmetricError
 from .polynomials import Monomial, Polynomial
 from .scalars import QParam, RF_ONE, RF_ZERO, RationalFunction
 from .weyl import WeylElement, orbit_sum, weyl_apply, weyl_compose
 from .linalg import (
     GradedOperator,
+    SparseIntRow,
     kernel_basis,
     operator_rows,
     reduced_echelon,
     rf_rows_to_int,
+    slice_images,
     transpose,
 )
 
@@ -267,26 +270,45 @@ class OperatorSpanRank:
 def operator_span_rank(n: int, d: int, q: QParam, probe_cap: int) -> OperatorSpanRank:
     """Linear rank of {P_lambda : lambda |- d} acting on polynomials.
 
-    The operators are probed on every monomial of degree at most probe_cap:
-    each becomes one row over the (degree, source, target) cells that any of
-    them fills (``linalg.operator_rows``), and the relations are the kernel
-    of the transpose, one equation per cell.
+    The operators are probed on the monomials of each source degree
+    e = 0, 1, ..., probe_cap in turn.  On degree e each becomes one row over
+    the (e, source, target) cells that any of them fills
+    (``linalg.operator_rows``), and the transpose gives one equation in the
+    operators' coefficients per cell.  After every degree but the last, the
+    cells gathered so far are ranked at one point mod a prime
+    (``modular.Echelon``, which reduces each cell once, when it is added).
+    That rank of some of the equations is a lower bound on the rank of all
+    of them over Q(q) (over Q at a rational q), and the number of operators
+    is an upper bound, so once the two meet the operators are independent,
+    whatever the cells not yet built hold, and the probe stops there.
+    Otherwise the relations are the kernel of all the cells.  They come in the sorted (degree, source, target) order of
+    one ``operator_rows`` over the whole probe, so the reduced echelon form,
+    canonical, and the relations are those of that one matrix.  Its
+    ``reduced_echelon`` opens with the same certificate, a mod-P rank of all
+    the cells, which is why the last degree is not ranked apart.
     """
     if d < 1:
         raise ValueError("degree must be positive")
     if probe_cap < d:
         raise ValueError("probe cap must be at least the operator degree")
     lams = tuple(partitions_of(d))
-    operators = [
-        GradedOperator.from_callable(
-            n, d, probe_cap, partial(apply_p_lambda, mu=lam, q=q)
-        )
-        for lam in lams
-    ]
-    rows, ncells = operator_rows(operators)
-    int_rows = rf_rows_to_int(transpose(rows, ncells))
-    pivots, reduced = reduced_echelon(int_rows, len(lams))
-    vecs = kernel_basis(pivots, reduced, len(lams))
+    size = len(lams)
+    applies = [partial(apply_p_lambda, mu=lam, q=q) for lam in lams]
+    cells: list[SparseIntRow] = []
+    probe = modular.Echelon(modular.seeded_point(f"P_lambda {n} {d}"))
+    for e in range(probe_cap + 1):
+        # each operator on degree e alone, zero below it: its cells are (e, s, t)
+        operators = [
+            GradedOperator(n, d, e, ((),) * e + (tuple(slice_images(f, n, e, d)),))
+            for f in applies
+        ]
+        rows, ncells = operator_rows(operators)
+        new = rf_rows_to_int(transpose(rows, ncells))
+        cells += new
+        if e < probe_cap and probe.extend(new, size) == size:
+            return OperatorSpanRank(n, d, lams, size, ())
+    pivots, reduced = reduced_echelon(cells, size)
+    vecs = kernel_basis(pivots, reduced, size)
     relations = tuple(
         {lams[j]: coeff for j, coeff in sorted(vec.items())} for vec in vecs
     )

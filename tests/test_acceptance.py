@@ -700,3 +700,13 @@ def test_criterion_26_badq_pivot_rows():
         assert hashlib.sha256(text.encode()).hexdigest() == BADQ_5_10_GCD_DIGEST
         assert report.jumps == BADQ_5_10_JUMPS
         assert report.nonrational_factors == ()
+
+
+def test_criterion_27_relations_reach():
+    # 16.4 s on a 2-core VM when every cell up to the cap was cleared and
+    # eliminated; the probe now stops at the first degree whose cells are of
+    # full rank mod P
+    with criterion(27, "P_lambda, lambda |- 6, independent on five variables", 5.0):
+        result = operator_span_rank(5, 6, FORMAL, probe_cap=7)
+        assert result.rank == len(result.partitions) == 11
+        assert result.relations == ()

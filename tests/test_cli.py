@@ -488,6 +488,12 @@ PINNED_REPORTS = [
      "f91525da365f61f0b416d724f2b8422cd2f7a61777092192a58c90f5fe3346cf"),
     ("truncated -n 4 -d 4 -q 1",
      "5ee30d2d16c5d5ad3f1faea158b0dd12573f0dc2fbf86147ea318aadbef463dd"),
+    # relations that stop at the first mod-P full-rank degree, and at q = 0,
+    # where the exact elimination of every probed cell finds two relations
+    ("relations -n 4 -d 5",
+     "dcdd5935597faf860e59b0664092560cbb515d5d70da9e2858a327006fd3f544"),
+    ("relations -n 3 -d 5 -q 0",
+     "b073f1e9d00a8f76993b098883f72203d7f3eb6cb32eb662bfe9e4c3cf4d2be5"),
 ]
 
 

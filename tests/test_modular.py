@@ -162,3 +162,18 @@ def test_mod_p_rank_never_exceeds_exact_rank(case):
     with mock.patch.object(modular, "rank_mod_p", lambda rows, ncols, target: -1):
         expected = reduced_echelon(rows, ncols)
     assert reduced_echelon(rows, ncols) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(deficient_matrices(), st.integers(2, modular.P - 1), st.data())
+def test_echelon_grown_in_batches_ranks_every_row(case, q0, data):
+    """Rows added a batch at a time give the rank mod P of all of them at
+    that point, and ``extend`` stops adding once the rank reaches its target."""
+    rows, ncols, _ = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    echelon = modular.Echelon(q0)
+    for start, stop in zip([0, *cuts], [*cuts, len(rows)]):
+        echelon.extend(rows[start:stop], ncols)
+    assert echelon.rank == modular.rank_mod_p(rows, ncols, point=Fraction(q0))
+    target = data.draw(st.integers(0, echelon.rank))
+    assert modular.Echelon(q0).extend(rows, target) == target

@@ -29,7 +29,7 @@ from qsteenrod.scalars import (
     qp_primitive,
     qp_sub,
 )
-from qsteenrod.spaces import GradedSubspace, harm_component
+from qsteenrod.spaces import GradedSubspace, generating_degrees, harm_component
 from qsteenrod.specialize import (
     MinorGcd,
     _certify_rank,
@@ -42,6 +42,7 @@ from qsteenrod.specialize import (
     factor_over_z,
     harmonic_constraint_rows,
     minor_gcd,
+    product_rational_roots,
     rational_roots,
     specialize_poly,
     specialized_dimension,
@@ -210,6 +211,72 @@ def test_rational_roots_of_minor_gcds_against_sympy(n):
         for extended in (False, True):
             gcd = bad_q_candidates(n, d, extended).minor_gcd
             assert rational_roots(gcd) == _sympy_roots(gcd), (n, d, extended)
+
+
+def _primitive_positive(p):
+    p = qp_primitive(p)
+    return qp_neg(p) if p[-1] < 0 else p
+
+
+def _product(powers):
+    out = QP_ONE
+    for g, f in powers.items():
+        for _ in range(f):
+            out = qp_mul(out, g)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(1, 12), st.integers(-12, 12)), max_size=3),
+            st.integers(0, 2),
+            st.lists(st.sampled_from(ROOTLESS), max_size=2),
+            st.integers(1, 4),
+        ),
+        max_size=4,
+    )
+)
+def test_product_rational_roots_against_the_product(factors):
+    # each g: linear factors b q + a, a power of q and rootless factors, made
+    # primitive with a positive leading coefficient, to the power f
+    powers = {}
+    for linear, shift, rootless, f in factors:
+        g = QP_ONE
+        for b, a in linear:
+            g = qp_mul(g, qp(a, b))
+        for factor in rootless:
+            g = qp_mul(g, factor)
+        g = _primitive_positive((0,) * shift + g)
+        powers[g] = powers.get(g, 0) + f
+    assert product_rational_roots(powers) == rational_roots(_product(powers))
+
+
+def _block_gcd_powers(n, d, degrees):
+    """The minor gcd of each isotypic block of the badq constraint stack, to
+    the power of its multiplicity, as `bad_q_candidates` takes them."""
+    stacks = constraint_stacks(n, d, degrees)
+    powers = {}
+    for lam, f in isotypic.blocks(n):
+        block = isotypic.block_rows(isotypic.pivot_rows(stacks, n, d, lam), n, d, lam)
+        g = minor_gcd(*block)[1]
+        powers[g] = powers.get(g, 0) + f
+    return powers
+
+
+@pytest.mark.parametrize(
+    "n, d", [(n, d) for n in (1, 2, 3, 4) for d in range(1, 8)] + [(5, 8)]
+)
+def test_product_rational_roots_of_block_gcds(n, d):
+    generator_sets = [generating_degrees(n, FORMAL)]
+    if n <= 4:
+        generator_sets.append(tuple(range(1, d + 1)))
+    for extended, degrees in enumerate(generator_sets):
+        powers = _block_gcd_powers(n, d, degrees)
+        product = _product(powers)
+        assert product == bad_q_candidates(n, d, bool(extended)).minor_gcd
+        assert product_rational_roots(powers) == rational_roots(product), (n, d)
 
 
 def test_factor_over_z():

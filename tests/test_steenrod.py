@@ -1,6 +1,7 @@
 """Deformed power sums: commutation, straightening, triangularity, ranks."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 from qsteenrod.errors import NonSymmetricError
 from qsteenrod.polynomials import Polynomial, monomials_of_degree
 from qsteenrod.scalars import QParam, RF_ONE, RF_Q, RF_ZERO, rf_normalize
-from qsteenrod.linalg import echelonize
+from qsteenrod.linalg import (
+    GradedOperator,
+    echelonize,
+    kernel_basis,
+    operator_rows,
+    reduced_echelon,
+    rf_rows_to_int,
+    transpose,
+)
 from qsteenrod.steenrod import (
     apply_dk,
     apply_p_lambda,
@@ -346,3 +355,44 @@ def test_operator_span_rank_examples():
 
     r1 = operator_span_rank(1, 1, FORMAL, probe_cap=2)
     assert r1.rank == 1
+
+
+def _span_rank_on_every_cell(n, d, q, probe_cap):
+    """Rank and relations of the P_lambda, lambda |- d, from every cell up to
+    the cap: each operator on every degree at once, one matrix, one exact
+    reduced echelon form."""
+    lams = tuple(partitions_of(d))
+    operators = [
+        GradedOperator.from_callable(
+            n, d, probe_cap, partial(apply_p_lambda, mu=lam, q=q)
+        )
+        for lam in lams
+    ]
+    rows, ncells = operator_rows(operators)
+    cells = rf_rows_to_int(transpose(rows, ncells))
+    pivots, reduced = reduced_echelon(cells, len(lams))
+    vecs = kernel_basis(pivots, reduced, len(lams))
+    relations = tuple({lams[j]: c for j, c in sorted(v.items())} for v in vecs)
+    return len(pivots), relations
+
+
+SPAN_Q_VALUES = Q_VALUES + (QParam.rational(-1), QParam.rational(11, 13))
+SPAN_SHAPES = [(n, d) for n in range(1, 5) for d in range(1, 6)] + [(3, 6)]
+
+
+@pytest.mark.parametrize("n, d", SPAN_SHAPES)
+def test_operator_span_rank_matches_every_cell(n, d):
+    """The degree-by-degree probe with its mod-P stop gives the rank and
+    relations of the whole probe, full rank or not."""
+    cap = max(d, n + 2)
+    deficient = 0
+    for q in SPAN_Q_VALUES:
+        got = operator_span_rank(n, d, q, probe_cap=cap)
+        rank, relations = _span_rank_on_every_cell(n, d, q, cap)
+        assert (got.rank, got.relations) == (rank, relations), (n, d, q)
+        assert got.partitions == tuple(partitions_of(d))
+        deficient += bool(relations)
+    if d > n:
+        # at q = 0 the P_lambda multiply by power sums, dependent in degree
+        # d > n: the exact fallback runs
+        assert deficient
