@@ -30,7 +30,9 @@ from .spaces import (
     COMPONENTS,
     GradedSubspace,
     HILBERT_KINDS,
+    RANKED_KINDS,
     StaircaseSet,
+    block_dimension,
     hilbert_of,
     staircase_degree,
     weighted_complement,
@@ -284,6 +286,19 @@ def _cached_component(
     return value
 
 
+def _dimension(spec: CommandSpec, kind: str, n: int, d: int, q: QParam) -> int:
+    """The dimension of the degree-d slice of a family in spaces.COMPONENTS at q.
+
+    With a cache directory it is that of the slice `_cached_component`
+    reads or stores, so later commands reuse the slice.  Otherwise harm and
+    hit dimensions come from the certified S_n-block ranks
+    (`spaces.block_dimension`), with no basis built.
+    """
+    if spec.cache_dir or kind not in RANKED_KINDS:
+        return _cached_component(spec, kind, n, d, q).dim
+    return block_dimension(kind, n, d, q)
+
+
 # ---------------------------------------------------------------------------
 # Command implementations
 
@@ -311,11 +326,9 @@ def run_hilbert(spec: CommandSpec) -> Report:
     tables = []
     if spec.kind in COMPONENTS:
         for d in range(spec.degree + 1):
-            space = _cached_component(spec, spec.kind, spec.n, d, spec.q)
-            classical = _cached_component(
-                spec, spec.kind, spec.n, d, QParam.rational(0)
-            )
-            tables.append({"degree": d, "dim": space.dim, "dim_q0": classical.dim})
+            dim = _dimension(spec, spec.kind, spec.n, d, spec.q)
+            classical = _dimension(spec, spec.kind, spec.n, d, QParam.rational(0))
+            tables.append({"degree": d, "dim": dim, "dim_q0": classical})
     else:
         series = hilbert_of(spec.kind, spec.n, spec.degree)
         for d in range(spec.degree + 1):
@@ -328,21 +341,26 @@ def run_component(spec: CommandSpec) -> Report:
     tables = []
     findings = []
     for d in range(spec.degree + 1):
-        space = _cached_component(spec, kind, spec.n, d, spec.q)
-        classical = _cached_component(spec, kind, spec.n, d, QParam.rational(0))
-        row = {"degree": d, "dim": space.dim, "dim_q0": classical.dim}
-        if spec.include_basis or d == spec.degree:
+        listed = spec.include_basis or d == spec.degree
+        if listed:
+            space = _cached_component(spec, kind, spec.n, d, spec.q)
+            dim = space.dim
+        else:
+            dim = _dimension(spec, kind, spec.n, d, spec.q)
+        classical = _dimension(spec, kind, spec.n, d, QParam.rational(0))
+        row = {"degree": d, "dim": dim, "dim_q0": classical}
+        if listed:
             row["_basis"] = [_basis_entry(p) for p in space.basis]
         tables.append(row)
         if kind == "harm" and not spec.q.is_formal:
-            generic = _cached_component(spec, "harm", spec.n, d, QParam.formal())
-            if space.dim > generic.dim:
+            generic = _dimension(spec, "harm", spec.n, d, QParam.formal())
+            if dim > generic:
                 findings.append(
                     {
                         "kind": "dimension-jump",
                         "degree": d,
-                        "dim": space.dim,
-                        "generic_dim": generic.dim,
+                        "dim": dim,
+                        "generic_dim": generic,
                         "q": str(spec.q),
                     }
                 )
@@ -553,14 +571,14 @@ def run_verify(spec: CommandSpec) -> Report:
     for d in range(spec.degree + 1):
         harm = _cached_component(spec, "harm", spec.n, d, spec.q)
         hit = _cached_component(spec, "hit", spec.n, d, spec.q)
-        classical = _cached_component(spec, "harm", spec.n, d, QParam.rational(0))
+        classical = _dimension(spec, "harm", spec.n, d, QParam.rational(0))
         harms.append(harm)
         complement = weighted_complement(hit)
         row = {
             "degree": d,
             "dim_harm": harm.dim,
             "dim_hit": hit.dim,
-            "dim_harm_q0": classical.dim,
+            "dim_harm_q0": classical,
             "orthogonal_ok": complement.basis == harm.basis,
             "staircase_union_exact": staircase_degree(harm, hit).union_exact,
         }

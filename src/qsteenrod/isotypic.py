@@ -22,18 +22,21 @@ slice, sum of f_lam |B_lam| = dim V_d, which makes each B_lam a basis of
 e_T V_d.  `block_rows` multiplies a matrix over Z[q] by that basis, and
 `pivot_rows` picks rows by the pivots of the target bases; each certifies
 the cover of every degree whose bases it reads, so a basis that falls short
-raises AssertionError instead of giving a wrong rank.  The blocks have three
+raises AssertionError instead of giving a wrong rank.  The blocks have four
 consumers, none of which calls `certify_cover` itself:
-`specialize.bad_q_candidates`, `stable_kernel` (harmonic slices) and
-`stable_span` (hit and truncated-hit slices).
+`specialize.bad_q_candidates`, `stable_kernel` (harmonic slices),
+`stable_span` (hit and truncated-hit slices) and `block_ranks`, which gives
+the dimensions of harm and hit slices with no basis
+(`spaces.block_dimension`, read by every CLI cell that prints only a
+dimension and by `specialize.specialized_dimension`).
 
 For an S_n-equivariant matrix M on V_d (such as the stacked down operators)
 a constant change of basis on both sides gives M = direct sum of
 M_lam (x) I_{f_lam}, and M . B_lam = C . M_lam for a constant injection C.
-So rank M = sum of f_lam rank(M . B_lam), and the gcd of the maximal minors
-of M over Q[q] is, up to a unit, the product of gcd(M . B_lam)^f_lam
-(`specialize.bad_q_candidates`, which certifies each block's rank by
-itself).
+So rank M = sum of f_lam rank(M . B_lam) (`block_ranks`), and the gcd of
+the maximal minors of M over Q[q] is, up to a unit, the product of
+gcd(M . B_lam)^f_lam (`specialize.bad_q_candidates`, which certifies each
+block's rank by itself).
 
 Most rows of M . B_lam are redundant, and `pivot_rows` drops them exactly.
 Let M stack maps M_k : V_d -> V_{d-k}, each with one row per monomial of
@@ -48,6 +51,14 @@ same rank, same gcd of maximal minors up to a unit (Cauchy-Binet both
 ways), same rank at every rational q and same kernel.  This needs
 B_lam(d - k) to span e_T V_{d-k}, which `pivot_rows` certifies
 (`certify_cover(n, d - k)`).
+
+The hit slice is the row space of the stacked transposes P_k^T : V_d ->
+V_{d-k}, whose row at a monomial m of degree d - k is P_k . m.  They are
+S_n-equivariant too: a permutation acts by a permutation matrix S, and
+S P_k = P_k S with S^T = S^-1 gives P_k^T S^-1 = S^-1 P_k^T.  So the same
+pivot rows and block ranks count hits: dim hit_d = rank M, and for the
+D_k, dim harm_d = sum of f_lam (|B_lam| - rank(M . B_lam)).  At a rational
+q the pivot rows stay valid, because C is constant.
 
 For rows M whose kernel is S_n-stable, ker(M . B_lam) holds the
 coordinates of e_T ker M.  Moved by sigma_{T -> T'} for every standard
@@ -111,7 +122,11 @@ class BlockBasis(tuple):
         return basis
 
 
-@lru_cache(maxsize=256)
+# Bounded above the traffic of the whole test suite in one session (339
+# distinct keys; a bound of 256 built 399 of them twice) and of
+# `hilbert --kind harm -n 6 -d 15`, the widest command README times (11
+# shapes x 16 degrees = 176 keys, which hold 24 MB).
+@lru_cache(maxsize=512)
 def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
     """An integer basis of e_T V_d, as sparse vectors over the slice columns.
 
@@ -121,8 +136,7 @@ def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
     column (the row sum runs over the distinct images of m).  An orbit of
     type nu has K_{lam nu} such m.  The vectors are checked independent by
     one exact elimination over Z, else the call raises AssertionError;
-    `certify_cover` makes them a basis.  The cache holds every degree and
-    shape that `badq -n 6 -d 12 --all-generators` asks for (143 keys).
+    `certify_cover` makes them a basis.
     """
     tableau = next(standard_tableaux(lam))
     row_group = _group(tableau.rows, n)
@@ -212,6 +226,25 @@ def pivot_rows(
         for k, stack in stacks.items()
         for i in block_basis(n, d - k, lam).pivots
     ]
+
+
+def block_ranks(
+    stacks: dict[int, list[SparseIntRow]], n: int, d: int
+) -> list[tuple[Partition, int, int, int]]:
+    """(lam, f_lam, nc_lam, rank M_lam) for every partition lam of n.
+
+    stacks are as for `pivot_rows`; M_lam is the block of their stacked
+    matrix M on B_lam(d) (`block_rows` of the `pivot_rows`), with nc_lam =
+    |B_lam(d)| columns, so rank M is the sum of f_lam rank M_lam.  Both
+    block helpers certify the covers they read, and `linalg.sparse_rank`
+    certifies each rank: a mod-P rank equal to its upper bound, or else an
+    exact elimination.
+    """
+    out = []
+    for lam, f in blocks(n):
+        block, ncols = block_rows(pivot_rows(stacks, n, d, lam), n, d, lam)
+        out.append((lam, f, ncols, linalg.sparse_rank(block, ncols)))
+    return out
 
 
 def blocks(n: int) -> list[tuple[Partition, int]]:

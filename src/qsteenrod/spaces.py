@@ -29,8 +29,16 @@ C(n+d-1, d)) and the spread must have rank sum of f_lam dim ker(M . B_lam),
 which is dim ker M, or the slice function raises AssertionError.  A full
 slice has full blocks, each certified by linalg's mod-p rank, and an empty
 spread.  Up to the middle the blocks cost more than the whole-slice
-elimination (`linalg.slice_span`, `linalg.slice_kernel`), which runs there.  The reduced echelon basis of a space is unique, so both routes
-give the same bytes.
+elimination (`linalg.slice_span`, `linalg.slice_kernel`), which runs there.
+The reduced echelon basis of a space is unique, so both routes give the
+same bytes.
+
+A dimension needs no basis.  `block_dimension` counts a harm or hit slice
+from the integer matrices of the generating D_k, or of the P_k transposed
+(`rule_stacks`, built by the monomial rules with no polynomial or rational
+function in between), as the certified ranks of their S_n-isotypic blocks
+(`isotypic.block_ranks`): the hit dimension is the rank of the stacked
+P_k^T, the harm dimension the slice size less that of the stacked D_k.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Sequence
 
-from .isotypic import stable_kernel, stable_span
+from .isotypic import block_ranks, stable_kernel, stable_span
 from .linalg import (
+    SparseIntRow,
     SparseRFRow,
     slice_images,
     slice_kernel,
@@ -56,7 +65,7 @@ from .polynomials import (
     monomials_of_degree,
 )
 from .scalars import QParam, RationalFunction, as_rf
-from .steenrod import apply_dk, apply_p_lambda, apply_pk, partitions_of
+from .steenrod import apply_dk, apply_p_lambda, apply_pk, partitions_of, rule_stack
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,35 @@ def down_operator_rows(n: int, d: int, q: QParam, k: int) -> list[SparseRFRow]:
     """
     images = slice_images(partial(apply_dk, k=k, q=q), n, d, -k)
     return transpose(images, len(monomials_of_degree(n, d - k)))
+
+
+def rule_stacks(
+    kind: str, n: int, d: int, q: QParam, degrees: Sequence[int] | None = None
+) -> dict[int, list[SparseIntRow]]:
+    """The integer stacks whose rank counts a harm or hit slice, by degree k.
+
+    For harm, the matrix of each D_k on the degree-d slice (its kernel is
+    the slice); for hit, each P_k transposed (its row space is the slice):
+    `steenrod.rule_stack` for k in degrees (default `generating_degrees`),
+    k <= d, zero rows kept, as `isotypic.pivot_rows` needs.
+    """
+    if degrees is None:
+        degrees = generating_degrees(n, q)
+    return {k: rule_stack(n, d, k, q, kind == "harm") for k in degrees if k <= d}
+
+
+def block_dimension(kind: str, n: int, d: int, q: QParam) -> int:
+    """Dimension of the degree-d harm or hit slice at q, with no basis.
+
+    The stacked `rule_stacks` M have rank sum of f_lam rank M_lam over the
+    certified block ranks (`isotypic.block_ranks`).  For hit that is the
+    dimension; for harm, the kernel of M, it is sum of f_lam (nc_lam -
+    rank M_lam), because the B_lam cover the slice.
+    """
+    ranks = block_ranks(rule_stacks(kind, n, d, q), n, d)
+    if kind == "hit":
+        return sum(f * rank for _, f, _, rank in ranks)
+    return sum(f * (ncols - rank) for _, f, ncols, rank in ranks)
 
 
 # The slice caches are bounded above the traffic of the benchmark commands
@@ -275,6 +313,8 @@ def partition_hilbert(cap: int) -> HilbertSeries:
 
 
 HILBERT_KINDS = ("polynomials", "sym", "classical-harm", "partitions", *COMPONENTS)
+# The families in COMPONENTS whose dimensions `block_dimension` counts.
+RANKED_KINDS = ("harm", "hit")
 
 
 def hilbert_of(kind: str, n: int, cap: int) -> HilbertSeries:

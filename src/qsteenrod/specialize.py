@@ -3,8 +3,9 @@
 A generic harmonic basis made orthogonal and content-free over Z[q]
 (`content_free_basis`) stays linearly independent at every rational q, so
 the harmonic dimension at q0 is never below the generic one.
-`specialized_dimension` takes that generic dimension from the formal slice,
-compares it with the slice built at q0, and raises if the latter is smaller.
+`specialized_dimension` counts both dimensions from the certified block
+ranks of the constraints, formal and at q0 (`spaces.block_dimension`), and
+raises if the latter is smaller.
 
 Rank can only drop under specialization, and it drops exactly at the roots
 of the gcd of the maximal minors of an integer-polynomial matrix.  That gcd
@@ -73,12 +74,7 @@ from .scalars import (
     qp_sub,
     qp_trim,
 )
-from .spaces import (
-    GradedSubspace,
-    down_operator_rows,
-    generating_degrees,
-    harm_component,
-)
+from .spaces import GradedSubspace, block_dimension, generating_degrees, rule_stacks
 
 
 def specialize_poly(p: Polynomial, q0: Fraction) -> Polynomial:
@@ -131,14 +127,15 @@ def specialized_dimension(n: int, d: int, q0: Fraction) -> tuple[int, int]:
 
     By the content-free lemma (`content_free_basis`) the generic basis
     specializes to an independent family at every rational q0, so its rank
-    there is the generic dimension, read off the formal slice.  The direct
-    dimension comes from the slice built at q0 itself; it exceeds the
-    generic one exactly at the bad values of q.  The two slices are computed
-    independently, and a direct dimension below the generic one contradicts
-    the lemma: it raises AssertionError.
+    there is the generic dimension.  The direct dimension, that of the
+    harmonics at q0 itself, exceeds the generic one exactly at the bad
+    values of q.  Each is read from the certified block ranks of its own
+    constraint stacks, formal and at q0 (`spaces.block_dimension`), with no
+    basis, and a direct dimension below the generic one contradicts the
+    lemma: it raises AssertionError.
     """
-    generic = harm_component(n, d, FORMAL).dim
-    direct = harm_component(n, d, QParam(q0)).dim
+    generic = block_dimension("harm", n, d, FORMAL)
+    direct = block_dimension("harm", n, d, QParam(q0))
     if direct < generic:
         raise AssertionError(
             f"harmonic dimension {direct} at q = {q0} is below the generic "
@@ -475,19 +472,14 @@ def constraint_stacks(
 ) -> dict[int, list[SparseIntRow]]:
     """Integer matrix of each down operator D_k, k <= d, on the degree-d slice.
 
-    stacks[k] has one row per monomial of degree d - k, zero rows kept, as
-    `isotypic.pivot_rows` needs.  The entries are kept as they are, never
-    divided by a row content: dividing a row by a polynomial in q could
-    remove roots of the minor gcd, and those roots are the bad values of q.
+    The formal case of `spaces.rule_stacks`: stacks[k] has one row per
+    monomial of degree d - k, zero rows kept, as `isotypic.pivot_rows`
+    needs, with entries in Z[q] by the monomial rule.  They are kept as they
+    are, never divided by a row content: dividing a row by a polynomial in q
+    could remove roots of the minor gcd, and those roots are the bad values
+    of q.
     """
-    stacks = {}
-    for k in generator_degrees:
-        if k > d:
-            continue
-        stack = down_operator_rows(n, d, FORMAL, k)
-        assert all(c.den == QP_ONE for row in stack for c in row.values())
-        stacks[k] = [{j: c.num for j, c in row.items()} for row in stack]
-    return stacks
+    return rule_stacks("harm", n, d, FORMAL, generator_degrees)
 
 
 def harmonic_constraint_rows(

@@ -25,7 +25,9 @@ x^(a - k e_i), zero when a_i < k, and the Euler factor then scales that by
     D_k . x^a = sum_i a_i (a_i - 1) ... (a_i - k + 1) (1 + q (a_i - k)) x^(a - k e_i).
 
 Each sends a monomial to at most n monomials, and P_mu . p is
-P_mu_1 (... (P_mu_l . p)), the parts applied right to left.  `make_pk`,
+P_mu_1 (... (P_mu_l . p)), the parts applied right to left.  `rule_stack`
+writes the same two rules as integer matrices on a degree slice, for ranks
+that need no polynomial arithmetic.  `make_pk`,
 `dual_pk` and `make_p_lambda` under `weyl.weyl_apply` give the same
 polynomials; they stay for arbitrary Weyl-algebra operators and as the
 reference the tests compare the rules with.
@@ -40,7 +42,7 @@ from typing import Callable, Iterator, Sequence
 
 from . import modular
 from .errors import NonSymmetricError
-from .polynomials import Monomial, Polynomial
+from .polynomials import Monomial, Polynomial, monomials_of_degree
 from .scalars import QParam, RF_ONE, RF_ZERO, RationalFunction
 from .weyl import WeylElement, orbit_sum, weyl_apply, weyl_compose
 from .linalg import (
@@ -51,6 +53,7 @@ from .linalg import (
     reduced_echelon,
     rf_rows_to_int,
     slice_images,
+    slice_index,
     transpose,
 )
 
@@ -194,6 +197,37 @@ def apply_p_lambda(p: Polynomial, mu: Sequence[int], q: QParam) -> Polynomial:
     for part in reversed(mu):
         p = apply_pk(p, part, q)
     return p
+
+
+def rule_stack(n: int, d: int, k: int, q: QParam, down: bool) -> list[SparseIntRow]:
+    """An integer matrix of D_k (down) or of P_k transposed on the degree-d slice.
+
+    Row i is the i-th monomial b of `monomials_of_degree(n, d - k)`, indexed
+    over the degree-d monomials (`linalg.slice_index`), zero rows kept.  By
+    the monomial rules, its entry at b + k e_i is 1 + q b_i, the weight of
+    x^b -> x^(b + k e_i) in P_k . x^b, times (b_i + k) ... (b_i + 1) for D_k,
+    the weight of x^(b + k e_i) -> x^b in D_k.  At formal q the entries are
+    these polynomials in Z[q]; at q = u/v each is multiplied by v, which
+    leaves every rank unchanged, and a zero entry is dropped.
+    """
+    if q.is_formal:
+        rule = lambda b: (1, b) if b else (1,)
+    else:
+        u, v = q.value.numerator, q.value.denominator
+        rule = lambda b: (v + u * b,) if v + u * b else ()
+    weights = []
+    for b in range(d - k + 1):
+        scale = math.perm(b + k, k) if down else 1
+        weights.append(tuple(scale * c for c in rule(b)))
+    index = slice_index(n, d)
+    rows: list[SparseIntRow] = []
+    for mono in monomials_of_degree(n, d - k):
+        row: SparseIntRow = {}
+        for i, b in enumerate(mono):
+            if weights[b]:
+                row[index[mono[:i] + (b + k,) + mono[i + 1 :]]] = weights[b]
+        rows.append(row)
+    return rows
 
 
 def straighten(mu: Sequence[int], q: QParam) -> dict[Partition, RationalFunction]:

@@ -14,10 +14,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from qsteenrod.cli import (
+    build_parser,
     cache_roundtrip,
+    execute,
     main,
     serialize_polynomial,
     serialize_subspace,
+    spec_from_args,
 )
 from qsteenrod.isotypic import block_basis, blocks
 from qsteenrod.linalg import Matrix, echelonize, sparse_rank
@@ -659,8 +662,9 @@ VERIFY_5_DIMENSIONS = {
 
 
 def test_criterion_25_verify_at_n_5():
-    # The generic dimension is read off the formal slice (the content-free
-    # lemma of criterion 17); the direct one comes from the slice at q0.
+    # The generic dimension is that of the formal constraints (the
+    # content-free lemma of criterion 17), the direct one that of the
+    # constraints at q0, each read from certified block ranks.
     with criterion(25, "verify at n = 5: specialized dimensions, d = 4..7", 10.0):
         for (d, q0), dims in VERIFY_5_DIMENSIONS.items():
             assert specialized_dimension(5, d, q0) == dims, (d, q0)
@@ -710,3 +714,18 @@ def test_criterion_27_relations_reach():
         result = operator_span_rank(5, 6, FORMAL, probe_cap=7)
         assert result.rank == len(result.partitions) == 11
         assert result.relations == ()
+
+
+def test_criterion_28_block_rank_reach():
+    # formal harm(6, 8) alone took more than 295 s on a 2-core VM through its
+    # reduced echelon basis; the dimensions now come from the certified
+    # S_n-block ranks, with no basis
+    expected = list(classical_harm_hilbert(6, 9).coefficients)
+    assert expected == [1, 5, 14, 29, 49, 71, 90, 101, 101, 90]
+    for q in ("formal", "1"):
+        argv = ["hilbert", "--kind", "harm", "-n", "6", "-d", "9", "-q", q]
+        label = f"{' '.join(argv)} from block ranks"
+        with criterion(28, label, 10.0):
+            tables = execute(spec_from_args(build_parser().parse_args(argv))).tables
+        assert [row["dim"] for row in tables] == expected
+        assert [row["dim_q0"] for row in tables] == expected

@@ -327,6 +327,26 @@ def test_warm_cache_builds_no_slice(line, tmp_path, capsys, monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize(
+    "line, built",
+    [
+        ("hilbert --kind harm -n 4 -d 6", []),
+        ("hilbert --kind hit -n 4 -d 6", []),
+        ("harm -n 4 -d 6", [("harm_component", 4, 6, "formal")]),
+        ("harm -n 3 -d 4 -q -1/2", [("harm_component", 3, 4, "-1/2")]),
+        ("hit -n 3 -d 4 -q 1 --basis",
+         [("hit_component", 3, d, "1") for d in range(5)]),
+    ],
+)
+def test_dimension_only_cells_build_no_slice(line, built, capsys, monkeypatch):
+    """Without a cache directory a cell that prints only a dimension reads
+    the block ranks; a slice is built only where its basis is listed."""
+    calls = _count_slice_calls(monkeypatch)
+    assert main(line.split() + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == built
+
+
 def test_input_error_exit_code(capsys):
     assert main(["harm", "-q", "not-a-number"]) == 2
     err = capsys.readouterr().err
@@ -494,6 +514,16 @@ PINNED_REPORTS = [
      "dcdd5935597faf860e59b0664092560cbb515d5d70da9e2858a327006fd3f544"),
     ("relations -n 3 -d 5 -q 0",
      "b073f1e9d00a8f76993b098883f72203d7f3eb6cb32eb662bfe9e4c3cf4d2be5"),
+    # dimension-only cells read from the certified block ranks; the last has
+    # dimension-jump findings, whose generic dimensions come from them too
+    ("hilbert --kind harm -n 5 -d 4",
+     "ef2be30f4ff1469c781d82893bbb8373ab37c8269fbb6f9973167cd0bf8b87a0"),
+    ("hilbert --kind hit -n 4 -d 6",
+     "c4ddb8725d11642c4fc1f02912cefa3194331ff6cc14832dcb74cf3286adf228"),
+    ("hit -n 4 -d 7 -q 1",
+     "361e191c4f0122e6a19b1e5b21e3827a5637357e0258ab707f9c95ac107a5e19"),
+    ("harm -n 4 -d 7 -q -1/2",
+     "f7c29fa05ac03ab365ed425089efecf71aeb9155399776fab8b65a2ed62a6efc"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Hit and harmonic slices, Hilbert series, staircases, truncated variants."""
 
 import random
+from fractions import Fraction
 from functools import partial
 from math import comb
 
@@ -17,7 +18,7 @@ from qsteenrod.linalg import (
     slice_span,
 )
 from qsteenrod.polynomials import Polynomial, monomials_of_degree, scalar_product
-from qsteenrod.scalars import QParam, RF_ONE, RF_ZERO, rf_normalize
+from qsteenrod.scalars import QParam, RF_ONE, RF_ZERO, qp_eval, rf_normalize
 from qsteenrod.spaces import (
     GradedSubspace,
     StaircaseSet,
@@ -31,7 +32,7 @@ from qsteenrod.spaces import (
     truncated_hit_component,
     weighted_complement,
 )
-from qsteenrod.steenrod import make_pk, make_p_lambda
+from qsteenrod.steenrod import apply_pk, make_pk, make_p_lambda
 from qsteenrod.weyl import weyl_apply
 
 FORMAL = QParam.formal()
@@ -473,6 +474,62 @@ def test_block_route_matches_whole_slice(q):
         assert blocks(rows, n, d) == whole(rows, n, d), (kind, n, d, str(q))
     if q == QParam.rational(-1, 2):
         assert harm_component(4, 4, q).dim == 8
+
+
+@pytest.mark.parametrize("q", BLOCK_Q, ids=str)
+def test_block_dimension_matches_the_slices(q):
+    # the certified block ranks of the integer rule stacks against the
+    # dimension of the reduced echelon basis of each slice
+    cells = [(n, d) for n in range(1, 5) for d in range(9)]
+    cells += [(5, d) for d in range(7)]
+    for n, d in cells:
+        assert spaces.block_dimension("harm", n, d, q) == harm_component(n, d, q).dim
+        assert spaces.block_dimension("hit", n, d, q) == hit_component(n, d, q).dim
+
+
+def _slice_stack(kind, n, d, k, q):
+    """The same matrix from the polynomial slice layout, entries in Q(q)."""
+    if kind == "harm":
+        return spaces.down_operator_rows(n, d, q, k)
+    return slice_images(partial(apply_pk, k=k, q=q), n, d - k, k)
+
+
+@pytest.mark.parametrize("kind", ["harm", "hit"])
+def test_rule_stacks_match_the_slice_layout(kind):
+    # formal: the cleared rows exactly; at q0 the same rows, evaluated, up to
+    # one nonzero constant for the whole stack
+    for n in range(1, 5):
+        for d in range(7):
+            degrees = range(1, d + 1)
+            stacks = spaces.rule_stacks(kind, n, d, FORMAL, degrees)
+            assert sorted(stacks) == list(degrees)
+            for k, stack in stacks.items():
+                rows = _slice_stack(kind, n, d, k, FORMAL)
+                assert all(v.den == (1,) for row in rows for v in row.values())
+                assert stack == [{j: v.num for j, v in row.items()} for row in rows]
+            for q in BLOCK_Q[1:]:
+                at_q = spaces.rule_stacks(kind, n, d, q, degrees)
+                for k, stack in at_q.items():
+                    assert all(len(v) == 1 for row in stack for v in row.values())
+                    rows = _slice_stack(kind, n, d, k, q)
+                    evaluated = [
+                        {j: qp_eval(v, q.value) for j, v in row.items()}
+                        for row in stacks[k]
+                    ]
+                    evaluated = [{j: v for j, v in r.items() if v} for r in evaluated]
+                    assert [set(r) for r in rows] == [set(r) for r in evaluated]
+                    assert [set(r) for r in rows] == [set(r) for r in stack]
+                    ratios = {
+                        Fraction(v[0]) / evaluated[i][j]
+                        for i, row in enumerate(stack)
+                        for j, v in row.items()
+                    }
+                    ratios |= {
+                        Fraction(v[0]) / rows[i][j].evaluate(q.value)
+                        for i, row in enumerate(stack)
+                        for j, v in row.items()
+                    }
+                    assert len(ratios) <= 1 and 0 not in ratios, (n, d, k, str(q))
 
 
 def test_short_spread_raises(monkeypatch):

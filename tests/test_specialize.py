@@ -114,15 +114,15 @@ def test_specialized_dimension_examples():
 
 
 def test_specialized_dimension_raises_below_the_generic(monkeypatch):
-    # the slice at q0 is built apart from the formal one; one vector short,
+    # the dimension at q0 is counted apart from the formal one; one short,
     # it would contradict the content-free lemma and must not pass unseen
-    original = specialize.harm_component
+    original = specialize.block_dimension
 
-    def short(n, d, q):
-        space = original(n, d, q)
-        return space if q.is_formal else GradedSubspace(n, d, space.basis[1:])
+    def short(kind, n, d, q):
+        dim = original(kind, n, d, q)
+        return dim if q.is_formal else dim - 1
 
-    monkeypatch.setattr(specialize, "harm_component", short)
+    monkeypatch.setattr(specialize, "block_dimension", short)
     with pytest.raises(AssertionError, match="below the generic"):
         specialized_dimension(2, 1, Fraction(7))
 
