@@ -33,11 +33,17 @@ from .spaces import (
     RANKED_KINDS,
     StaircaseSet,
     block_dimension,
+    block_multiplicities,
     hilbert_of,
     staircase_degree,
     weighted_complement,
 )
-from .representations import GradedCharacter, graded_character, is_regular_representation
+from .representations import (
+    GradedCharacter,
+    graded_character,
+    is_regular_representation,
+    multiplicity_character,
+)
 from .specialize import bad_q_candidates, conjectured_root_form, specialized_dimension
 from .steenrod import operator_span_rank, partitions_of
 from .strings import (
@@ -465,17 +471,32 @@ def run_strings(spec: CommandSpec) -> Report:
     return Report(spec.echo(), tables, findings)
 
 
+def _harm_character(spec: CommandSpec) -> GradedCharacter:
+    """The graded character of the harm slices up to the cap.
+
+    With a cache directory it is read off the slices `_cached_component`
+    reads or stores, so later commands reuse them.  Otherwise it is the sum
+    of mult_lam chi^lam over the certified S_n-block multiplicities
+    (`spaces.block_multiplicities`), with no basis built.
+    """
+    degrees = range(spec.degree + 1)
+    if spec.cache_dir:
+        return graded_character(
+            [_cached_component(spec, "harm", spec.n, d, spec.q) for d in degrees]
+        )
+    return multiplicity_character(
+        spec.n, [(d, block_multiplicities("harm", spec.n, d, spec.q)) for d in degrees]
+    )
+
+
 def run_character(spec: CommandSpec) -> Report:
-    family = [
-        _cached_component(spec, "harm", spec.n, d, spec.q)
-        for d in range(spec.degree + 1)
-    ]
-    chi = graded_character(family)
+    chi = _harm_character(spec)
     classes = list(partitions_of(spec.n))
+    identity = (1,) * spec.n
     tables = []
     for d in chi.degrees():
-        row = {"degree": d, "dim": family[d].dim}
         values = chi.degree(d)
+        row = {"degree": d, "dim": int(values[identity])}
         for ct in classes:
             row["chi_" + ".".join(map(str, ct))] = str(values[ct])
         tables.append(row)

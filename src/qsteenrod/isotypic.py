@@ -26,9 +26,10 @@ raises AssertionError instead of giving a wrong rank.  The blocks have four
 consumers, none of which calls `certify_cover` itself:
 `specialize.bad_q_candidates`, `stable_kernel` (harmonic slices),
 `stable_span` (hit and truncated-hit slices) and `block_ranks`, which gives
-the dimensions of harm and hit slices with no basis
-(`spaces.block_dimension`, read by every CLI cell that prints only a
-dimension and by `specialize.specialized_dimension`).
+the multiplicities of the irreducibles in harm and hit slices with no basis
+(`spaces.block_multiplicities`, read by `character` and, through
+`spaces.block_dimension`, by every CLI cell that prints only a dimension and
+by `specialize.specialized_dimension`).
 
 For an S_n-equivariant matrix M on V_d (such as the stacked down operators)
 a constant change of basis on both sides gives M = direct sum of
@@ -95,7 +96,10 @@ from .scalars import qp_add, qp_scale
 from .steenrod import Partition, partitions_of
 
 
-def _group(parts: list[tuple[int, ...]], n: int) -> list[tuple[tuple[int, ...], int]]:
+Group = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _group(parts: list[tuple[int, ...]], n: int) -> Group:
     """Every (sigma, sign) that permutes the entries within each part."""
     out = []
     for images in product(*(permutations(part) for part in parts)):
@@ -105,7 +109,26 @@ def _group(parts: list[tuple[int, ...]], n: int) -> list[tuple[tuple[int, ...], 
                 sigma[a - 1] = b
         perm = tuple(sigma)
         out.append((perm, -1 if inversions(perm) % 2 else 1))
-    return out
+    return tuple(out)
+
+
+# One entry per shape: every partition of n <= 7 is 44 keys.
+@lru_cache(maxsize=64)
+def _symmetrizer(
+    lam: Partition,
+) -> tuple[Group, Group, tuple[tuple[int, int, int], ...]]:
+    """R(T) and C(T) for the first standard tableau T of shape lam, as
+    (sigma, sign) pairs, and the steps (a, b, s) of T: b follows a along a
+    row (s = 0) or up a column (s = 1), entries counted from 0."""
+    tableau = next(standard_tableaux(lam))
+    n = sum(lam)
+    steps = tuple(
+        (a - 1, b - 1, s)
+        for s, parts in enumerate((tableau.rows, tableau.columns()))
+        for part in parts
+        for a, b in zip(part, part[1:])
+    )
+    return _group(tableau.rows, n), _group(tableau.columns(), n), steps
 
 
 class BlockBasis(tuple):
@@ -138,17 +161,8 @@ def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
     one exact elimination over Z, else the call raises AssertionError;
     `certify_cover` makes them a basis.
     """
-    tableau = next(standard_tableaux(lam))
-    row_group = _group(tableau.rows, n)
-    column_group = _group(tableau.columns(), n)
+    row_group, column_group, steps = _symmetrizer(lam)
     index = linalg.slice_index(n, d)
-    # (a, b, s): b follows a along a row of T (s = 0) or up a column (s = 1)
-    steps = [
-        (a - 1, b - 1, s)
-        for s, parts in enumerate((tableau.rows, tableau.columns()))
-        for part in parts
-        for a, b in zip(part, part[1:])
-    ]
     basis: list[dict[int, int]] = []
     for mono in index:
         if any(mono[a] + s > mono[b] for a, b, s in steps):

@@ -3,7 +3,9 @@
 Fillings use the French convention: rows are stored bottom-up and columns
 are read bottom-to-top, so the Specht polynomial of a filling is the product
 of the Vandermonde determinants of the variables listed along each column.
-Graded characters are read off the echelon basis of each slice: once the
+A graded character comes from the multiplicities of the irreducibles in
+each degree (`multiplicity_character`, the sum of mult_lam chi^lam), or is
+read off the echelon basis of each slice (`graded_character`): once the
 slice is known to be stable under the adjacent transpositions, the trace of
 a permutation is the sum of the coefficients of the permuted basis vectors
 at their own leading monomials.  The character table of S_n comes from the
@@ -237,9 +239,12 @@ def graded_character(
 ) -> GradedCharacter:
     """Trace of one representative per cycle type on every degree slice.
 
-    Each slice must be stable under the adjacent transpositions; violations
-    raise NotStableError naming the degree and transposition.  Values are
-    exact rationals (they are in fact integers for modules defined over Q).
+    This is the slice route: it reads the traces off bases already built
+    (a `--cache-dir` run, `verify`) and is the oracle the tests hold
+    `multiplicity_character` to.  Each slice must be stable under the
+    adjacent transpositions; violations raise NotStableError naming the
+    degree and transposition.  Values are exact rationals (they are in fact
+    integers for modules defined over Q).
     """
     slices = (
         list(family.values()) if isinstance(family, Mapping) else list(family)
@@ -257,6 +262,22 @@ def graded_character(
             value = _slice_trace(space, sigma)
             row.append((ct, value.as_fraction()))
         rows.append((space.degree, tuple(row)))
+    return GradedCharacter(n, tuple(rows))
+
+
+def multiplicity_character(
+    n: int, multiplicities: Sequence[tuple[int, Mapping[Partition, int]]]
+) -> GradedCharacter:
+    """The graded character of a module with mult_lam copies of S^lam in
+    each listed degree: chi(ct) = sum of mult_lam chi^lam(ct)."""
+    classes = list(partitions_of(n))
+    rows = []
+    for d, mult in multiplicities:
+        row = tuple(
+            (ct, Fraction(sum(m * sn_character(lam, ct) for lam, m in mult.items())))
+            for ct in classes
+        )
+        rows.append((d, row))
     return GradedCharacter(n, tuple(rows))
 
 

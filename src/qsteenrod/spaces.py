@@ -33,12 +33,14 @@ elimination (`linalg.slice_span`, `linalg.slice_kernel`), which runs there.
 The reduced echelon basis of a space is unique, so both routes give the
 same bytes.
 
-A dimension needs no basis.  `block_dimension` counts a harm or hit slice
-from the integer matrices of the generating D_k, or of the P_k transposed
+A dimension or a character needs no basis.  `block_multiplicities` counts
+the copies of each irreducible S^lam in a harm or hit slice from the
+integer matrices of the generating D_k, or of the P_k transposed
 (`rule_stacks`, built by the monomial rules with no polynomial or rational
 function in between), as the certified ranks of their S_n-isotypic blocks
-(`isotypic.block_ranks`): the hit dimension is the rank of the stacked
-P_k^T, the harm dimension the slice size less that of the stacked D_k.
+(`isotypic.block_ranks`), and `block_dimension` sums f_lam times them: the
+hit dimension is the rank of the stacked P_k^T, the harm dimension the
+slice size less that of the stacked D_k.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Sequence
 
-from .isotypic import block_ranks, stable_kernel, stable_span
+from .isotypic import block_ranks, blocks, stable_kernel, stable_span
 from .linalg import (
     SparseIntRow,
     SparseRFRow,
@@ -65,7 +67,14 @@ from .polynomials import (
     monomials_of_degree,
 )
 from .scalars import QParam, RationalFunction, as_rf
-from .steenrod import apply_dk, apply_p_lambda, apply_pk, partitions_of, rule_stack
+from .steenrod import (
+    Partition,
+    apply_dk,
+    apply_p_lambda,
+    apply_pk,
+    partitions_of,
+    rule_stack,
+)
 
 
 @dataclass(frozen=True)
@@ -183,18 +192,27 @@ def rule_stacks(
     return {k: rule_stack(n, d, k, q, kind == "harm") for k in degrees if k <= d}
 
 
-def block_dimension(kind: str, n: int, d: int, q: QParam) -> int:
-    """Dimension of the degree-d harm or hit slice at q, with no basis.
+def block_multiplicities(kind: str, n: int, d: int, q: QParam) -> dict[Partition, int]:
+    """How often each S^lam occurs in the degree-d harm or hit slice at q,
+    by partition lam of n, with no basis.
 
-    The stacked `rule_stacks` M have rank sum of f_lam rank M_lam over the
-    certified block ranks (`isotypic.block_ranks`).  For hit that is the
-    dimension; for harm, the kernel of M, it is sum of f_lam (nc_lam -
-    rank M_lam), because the B_lam cover the slice.
+    The stacked `rule_stacks` M split into the certified blocks M_lam
+    (`isotypic.block_ranks`).  The hit slice is the row space of M, the
+    orthogonal complement of ker M under the S_n-invariant dot product, so
+    as a module it is V_d / ker M: S^lam occurs rank M_lam times.  The harm
+    slice is ker M, and the B_lam cover the slice: nc_lam - rank M_lam.
     """
     ranks = block_ranks(rule_stacks(kind, n, d, q), n, d)
     if kind == "hit":
-        return sum(f * rank for _, f, _, rank in ranks)
-    return sum(f * (ncols - rank) for _, f, ncols, rank in ranks)
+        return {lam: rank for lam, _, _, rank in ranks}
+    return {lam: ncols - rank for lam, _, ncols, rank in ranks}
+
+
+def block_dimension(kind: str, n: int, d: int, q: QParam) -> int:
+    """Dimension of the degree-d harm or hit slice at q, with no basis:
+    sum of f_lam times the `block_multiplicities`."""
+    mult = block_multiplicities(kind, n, d, q)
+    return sum(f * mult[lam] for lam, f in blocks(n))
 
 
 # The slice caches are bounded above the traffic of the benchmark commands

@@ -135,14 +135,17 @@ class _Weights(dict):
         return w
 
 
-@lru_cache(maxsize=64)
+# The weight tables are a few scalars each.  Their bounds sit above the
+# traffic of the whole test suite in one session, 71 distinct q for the up
+# weights and 188 (q, k) for the down weights, so no session evicts them.
+@lru_cache(maxsize=256)
 def _up_weights(q: QParam) -> _Weights:
     """The scalars 1 + q a by which P_k weighs x_i^(a) going to x_i^(a+k)."""
     scalar = q.scalar()
     return _Weights(lambda a: 1 + scalar * a)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=512)
 def _down_weights(q: QParam, k: int) -> _Weights:
     """The scalars a (a - 1) ... (a - k + 1) (1 + q (a - k)) by which D_k
     weighs x_i^(a) going to x_i^(a-k); zero when a < k."""

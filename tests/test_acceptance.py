@@ -729,3 +729,21 @@ def test_criterion_28_block_rank_reach():
             tables = execute(spec_from_args(build_parser().parse_args(argv))).tables
         assert [row["dim"] for row in tables] == expected
         assert [row["dim_q0"] for row in tables] == expected
+
+
+def test_criterion_29_character_from_block_multiplicities():
+    # `character -n 5 -d 10` took 4.8 s in process on a 2-core VM through the
+    # reduced echelon slices and their stability check, and n = 6 at d = 9 ran
+    # past 150 s; the characters now sum mult_lam chi^lam over the certified
+    # S_n-block multiplicities, with no basis
+    for argv, budget in (
+        (["character", "-n", "5", "-d", "10"], 5.0),
+        (["character", "-n", "6", "-d", "15", "-q", "1"], 30.0),
+    ):
+        n = int(argv[2])
+        with criterion(29, " ".join(argv), budget):
+            report = execute(spec_from_args(build_parser().parse_args(argv)))
+        assert [row["dim"] for row in report.tables] == list(
+            classical_harm_hilbert(n).coefficients
+        )
+        assert [f["is_regular"] for f in report.findings] == [True]

@@ -336,6 +336,7 @@ def test_warm_cache_builds_no_slice(line, tmp_path, capsys, monkeypatch):
         ("harm -n 3 -d 4 -q -1/2", [("harm_component", 3, 4, "-1/2")]),
         ("hit -n 3 -d 4 -q 1 --basis",
          [("hit_component", 3, d, "1") for d in range(5)]),
+        ("character -n 4 -d 6", []),
     ],
 )
 def test_dimension_only_cells_build_no_slice(line, built, capsys, monkeypatch):
@@ -524,6 +525,12 @@ PINNED_REPORTS = [
      "361e191c4f0122e6a19b1e5b21e3827a5637357e0258ab707f9c95ac107a5e19"),
     ("harm -n 4 -d 7 -q -1/2",
      "f7c29fa05ac03ab365ed425089efecf71aeb9155399776fab8b65a2ed62a6efc"),
+    # characters summed from the certified block multiplicities: regular at
+    # formal q, and extra copies at q = -1/2
+    ("character -n 4 -d 6",
+     "9ba2e4b8d90e60e392a630e2675877421723da0a94c8eb913af6cf0b4e897e53"),
+    ("character -n 4 -d 7 -q -1/2",
+     "0391ea35921d68578d9b900540de2a1199db32755ab0a462284b9f9f59aaaac0"),
 ]
 
 

@@ -17,13 +17,19 @@ from qsteenrod.representations import (
     decompose_character,
     graded_character,
     is_regular_representation,
+    multiplicity_character,
     sn_character,
     specht_polynomial,
     standard_tableaux,
     vandermonde,
 )
 from qsteenrod.scalars import QParam, RF_ZERO
-from qsteenrod.spaces import GradedSubspace, harm_component
+from qsteenrod.spaces import (
+    GradedSubspace,
+    block_multiplicities,
+    harm_component,
+    hit_component,
+)
 from qsteenrod.steenrod import dual_pk, partitions_of
 from qsteenrod.weyl import weyl_apply
 
@@ -236,6 +242,37 @@ def test_character_reads_traces_off_the_basis(monkeypatch):
         graded_character(fam)
         for space in fam:
             assert calls.count(space.degree) == (n - 1) * space.dim, (n, space.degree)
+
+
+@pytest.mark.parametrize("q", ["formal", "0", "1", "-1", "-1/2", "-2/3", "11/13"])
+def test_block_character_matches_slice_traces(q):
+    # differential: the sum of certified block multiplicities times chi^lam
+    # against the traces read off the reduced echelon harmonic slices
+    q = QParam.parse(q)
+    for n, cap in [(1, 1), (2, 2), (3, 4), (4, 7), (5, 6)]:
+        fam = [harm_component(n, d, q) for d in range(cap + 1)]
+        oracle = graded_character(fam)
+        chi = multiplicity_character(
+            n, [(d, block_multiplicities("harm", n, d, q)) for d in range(cap + 1)]
+        )
+        assert chi == oracle, (n, str(q))
+        assert [chi.degree(d)[(1,) * n] for d in range(cap + 1)] == [
+            s.dim for s in fam
+        ]
+        assert is_regular_representation(chi, n) == is_regular_representation(
+            oracle, n
+        )
+
+
+@pytest.mark.parametrize("q", [FORMAL, QParam.rational(-1, 2), QParam.rational(0)])
+def test_hit_block_multiplicities_decompose_hit_slices(q):
+    # a hit slice, the row space of the stacked P_k^T, has rank M_lam copies
+    for n in (2, 3, 4):
+        for d in range(6):
+            chi = graded_character([hit_component(n, d, q)])
+            assert decompose_character(chi.degree(d), n) == block_multiplicities(
+                "hit", n, d, q
+            ), (n, d, str(q))
 
 
 def test_not_stable_raises():
