@@ -59,7 +59,7 @@ from .schubert import (
     operator_in_span,
     schubert_polynomial,
 )
-from .linalg import echelonize
+from .linalg import echelonize, rf_rows_to_int, slice_rows, sparse_rank
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -198,11 +198,23 @@ def deserialize_subspace(data: dict) -> GradedSubspace:
     return GradedSubspace(data["n"], data["degree"], basis)
 
 
-def _payload_checksum(payload: dict) -> str:
-    import hashlib  # here, not at module level: it loads OpenSSL (~3.6 MB RSS)
+def _sha256_hex(text: str) -> str:
+    """The SHA-256 digest of text, in hex.
 
+    Imported here, by the disk cache alone, and from the builtin module
+    first, as `random` does for sha512: hashlib loads OpenSSL, about 3.6 MB
+    of RSS, for the same digest.
+    """
+    try:
+        from _sha256 import sha256  # the builtin module up to Python 3.11
+    except ImportError:
+        from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
+def _payload_checksum(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256_hex(canonical)
 
 
 class SubspaceCache:
@@ -216,10 +228,7 @@ class SubspaceCache:
             raise QSteenrodError(f"cache directory {directory!r}: {exc.strerror}")
 
     def _path(self, key: str) -> str:
-        import hashlib
-
-        digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-        return os.path.join(self.directory, f"{digest}.json")
+        return os.path.join(self.directory, f"{_sha256_hex(key)[:32]}.json")
 
     def load(self, key: str) -> GradedSubspace | None:
         path = self._path(key)
@@ -241,11 +250,14 @@ class SubspaceCache:
             "payload": payload,
             "checksum": _payload_checksum(payload),
         }
+        # one json.dumps runs the C encoder; json.dump to a file would stream
+        # the same text through the pure-Python one
+        text = json.dumps(wrapper, sort_keys=True)
         path = self._path(key)
         tmp = path + f".tmp{os.getpid()}"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(wrapper, handle, sort_keys=True)
+                handle.write(text)
             os.replace(tmp, path)
         except OSError as exc:
             with contextlib.suppress(OSError):
@@ -381,8 +393,13 @@ def run_truncated(spec: CommandSpec) -> Report:
         tqharm = _cached_component(spec, "tqharm", spec.n, d, spec.q)
         classical = _cached_component(spec, "harm", spec.n, d, QParam.rational(0))
         full_dim = len(monomials_of_degree(spec.n, d))
-        combined = echelonize(list(classical.basis) + list(tqhit.basis))
-        direct_sum = classical.dim + tqhit.dim == full_dim == len(combined)
+        # the rank of both bases together, certified (mod-P full rank, or exact)
+        combined = rf_rows_to_int(
+            slice_rows([*classical.basis, *tqhit.basis], spec.n, d)
+        )
+        direct_sum = (
+            classical.dim + tqhit.dim == full_dim == sparse_rank(combined, full_dim)
+        )
         row = {
             "degree": d,
             "dim_tqhit": tqhit.dim,
@@ -679,21 +696,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qsteenrod",
         description="exact tables for deformed Steenrod operators on polynomials",
     )
+    # the options every command shares, declared once and inherited
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-n", "--vars", dest="n", type=int, default=2)
+    common.add_argument("-d", "--degree", dest="degree", type=int, default=None)
+    common.add_argument("-q", "--q", dest="q", default="formal")
+    common.add_argument(
+        "--format",
+        dest="output_format",
+        choices=("json", "csv", "pretty"),
+        default="pretty",
+    )
+    common.add_argument("--cache-dir", dest="cache_dir", default=None)
+    common.add_argument("--seed", dest="seed", type=int, default=0)
+    common.add_argument("--basis", dest="include_basis", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("-n", "--vars", dest="n", type=int, default=2)
-        p.add_argument("-d", "--degree", dest="degree", type=int, default=None)
-        p.add_argument("-q", "--q", dest="q", default="formal")
-        p.add_argument(
-            "--format",
-            dest="output_format",
-            choices=("json", "csv", "pretty"),
-            default="pretty",
-        )
-        p.add_argument("--cache-dir", dest="cache_dir", default=None)
-        p.add_argument("--seed", dest="seed", type=int, default=0)
-        p.add_argument("--basis", dest="include_basis", action="store_true")
+        p = sub.add_parser(name, parents=[common])
         if name == "hilbert":
             p.add_argument("--kind", dest="kind", choices=HILBERT_KINDS,
                            default="classical-harm")

@@ -29,7 +29,10 @@ consumers, none of which calls `certify_cover` itself:
 the multiplicities of the irreducibles in harm and hit slices with no basis
 (`spaces.block_multiplicities`, read by `character` and, through
 `spaces.block_dimension`, by every CLI cell that prints only a dimension and
-by `specialize.specialized_dimension`).
+by `specialize.specialized_dimension`).  All but the truncated hits read
+`pivot_rows` of the same integer stacks of the monomial rules
+(`spaces.rule_stacks`), so a harm or hit slice and its dimension are solved
+on the same rows.
 
 For an S_n-equivariant matrix M on V_d (such as the stacked down operators)
 a constant change of basis on both sides gives M = direct sum of
@@ -70,7 +73,11 @@ take this route past the middle of the harmonic range (`blocks_pay`) and
 certify it: the B_lam must cover the slice (`block_rows`) and the spread
 must have rank sum of f_lam dim ker(M . B_lam).
 A full slice has full blocks, each certified by linalg's mod-p rank, and an
-empty spread.
+empty spread.  Each block is solved on the rows a caller picks for lam:
+the `pivot_rows` of the D_k or P_k^T stacks for harm and hit, which have
+the row module of M . B_lam and so the same kernel, and all the rows for
+the truncated hits, whose generators P_lambda . h are not a stack of maps
+V_d -> V_{d-k}.
 """
 
 from __future__ import annotations
@@ -78,12 +85,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .linalg import (
     SparseIntRow,
-    SparseRFRow,
     forward_eliminate,
     null_space,
     reduced_echelon,
@@ -97,6 +103,8 @@ from .steenrod import Partition, partitions_of
 
 
 Group = tuple[tuple[tuple[int, ...], int], ...]
+# The rows a block is solved on, by partition lam (see `_spread_kernel`).
+RowsOf = Callable[[Partition], list[SparseIntRow]]
 
 
 def _group(parts: list[tuple[int, ...]], n: int) -> Group:
@@ -297,24 +305,24 @@ def spread_permutations(lam: Partition) -> list[tuple[int, ...]]:
     return out
 
 
-def _spread_kernel(
-    rows: list[SparseIntRow], n: int, d: int
-) -> tuple[list[SparseIntRow], int]:
+def _spread_kernel(rows_of: RowsOf, n: int, d: int) -> tuple[list[SparseIntRow], int]:
     """Rows spanning ker M on the degree-d slice, and the dimension they must span.
 
-    ker M must be S_n-stable.  Then ker(M . B_lam) holds the coordinates of
-    ker M meet e_T V_d = e_T ker M, which has dimension the multiplicity of
-    S^lam in ker M; lifted through B_lam and moved by every sigma_{T -> T'}
-    it spans the lam-isotypic part of ker M, of dimension f_lam times that.
-    The bases must cover the slice (`block_rows`), or the call raises
-    AssertionError.
+    ker M must be S_n-stable, and the block of rows_of(lam) on B_lam must
+    have the row module of M . B_lam: all rows of M, or the `pivot_rows` of
+    a stack of S_n-equivariant maps.  Then ker(M . B_lam) holds the
+    coordinates of ker M meet e_T V_d = e_T ker M, which has dimension the
+    multiplicity of S^lam in ker M; lifted through B_lam and moved by every
+    sigma_{T -> T'} it spans the lam-isotypic part of ker M, of dimension
+    f_lam times that.  The bases must cover the slice (`block_rows`), or the
+    call raises AssertionError.
     """
     index = linalg.slice_index(n, d)
     spread: list[SparseIntRow] = []
     dim = 0
     for lam, f in blocks(n):
         basis = block_basis(n, d, lam)
-        kernel = rf_rows_to_int(null_space(*block_rows(rows, n, d, lam)))
+        kernel = rf_rows_to_int(null_space(*block_rows(rows_of(lam), n, d, lam)))
         if not kernel:
             continue
         dim += f * len(kernel)
@@ -339,22 +347,24 @@ def _certify(rank: int, dim: int) -> None:
         )
 
 
-def block_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
-    """`linalg.slice_kernel` of rows whose kernel is S_n-stable, from the blocks.
+def block_kernel(rows_of: RowsOf, n: int, d: int) -> list[Polynomial]:
+    """`linalg.slice_kernel` of rows whose kernel is S_n-stable, from the blocks
+    of rows_of(lam) (`_spread_kernel`).
 
     The reduced echelon form of the spread block kernels is that of ker M,
     which is unique.  It must have as many rows as the blocks give (the sum
     of f_lam dim ker(M . B_lam)), or the call raises AssertionError.
     """
     columns = monomials_of_degree(n, d)
-    spread, dim = _spread_kernel(rf_rows_to_int(rows), n, d)
+    spread, dim = _spread_kernel(rows_of, n, d)
     pivots, reduced = reduced_echelon(spread, len(columns))
     _certify(len(pivots), dim)
     return [row_to_poly(row, n, columns) for row in reduced]
 
 
-def block_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
-    """`linalg.slice_span` of rows whose kernel is S_n-stable, from the blocks.
+def block_span(rows_of: RowsOf, n: int, d: int) -> list[Polynomial]:
+    """`linalg.slice_span` of rows whose kernel is S_n-stable, from the blocks
+    of rows_of(lam) (`_spread_kernel`).
 
     The span is the orthogonal complement of K = ker M under the standard
     dot product, i.e. the kernel of K's spread rows, whose reduced echelon
@@ -364,27 +374,35 @@ def block_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
     AssertionError.
     """
     columns = monomials_of_degree(n, d)
-    spread, dim = _spread_kernel(rf_rows_to_int(rows), n, d)
+    spread, dim = _spread_kernel(rows_of, n, d)
     vecs = null_space(spread, len(columns))
     _certify(len(columns) - len(vecs), dim)
     return [row_to_poly(vec, n, columns) for vec in vecs]
 
 
-def stable_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
-    """Reduced echelon basis of the kernel of rows on the degree-d slice.
+def stable_kernel(
+    rows: list[SparseIntRow], n: int, d: int, rows_of: RowsOf
+) -> list[Polynomial]:
+    """Reduced echelon basis of the kernel of integer rows on the degree-d slice.
 
     The kernel must be S_n-stable; past the middle of the harmonic range it
-    comes from the blocks (`blocks_pay`), elsewhere from the whole slice.
+    comes from the blocks of rows_of(lam) (`blocks_pay`, `block_kernel`),
+    elsewhere from all the rows on the whole slice.
     """
-    solve = block_kernel if blocks_pay(n, d) else linalg.slice_kernel
-    return solve(rows, n, d)
+    if blocks_pay(n, d):
+        return block_kernel(rows_of, n, d)
+    return linalg.slice_kernel(rows, n, d)
 
 
-def stable_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
-    """Reduced echelon basis of the span of rows on the degree-d slice.
+def stable_span(
+    rows: list[SparseIntRow], n: int, d: int, rows_of: RowsOf
+) -> list[Polynomial]:
+    """Reduced echelon basis of the span of integer rows on the degree-d slice.
 
     The span must be S_n-stable; past the middle of the harmonic range it
-    comes from the blocks (`blocks_pay`), elsewhere from the whole slice.
+    comes from the blocks of rows_of(lam) (`blocks_pay`, `block_span`),
+    elsewhere from all the rows on the whole slice.
     """
-    solve = block_span if blocks_pay(n, d) else linalg.slice_span
-    return solve(rows, n, d)
+    if blocks_pay(n, d):
+        return block_span(rows_of, n, d)
+    return linalg.slice_span(rows, n, d)

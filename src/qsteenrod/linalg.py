@@ -46,7 +46,11 @@ a degree-d slice is the j-th monomial of ``monomials_of_degree(n, d)``
 (descending lex), and ``slice_index`` maps each monomial to its column.
 ``slice_rows`` turns polynomials into rows over it, and they leave through
 one of two solvers: ``slice_span`` (the reduced echelon basis of the span of
-the rows) or ``slice_kernel`` (that of their kernel).
+the rows) or ``slice_kernel`` (that of their kernel).  The solvers take
+integer rows: the harm and hit slices come as the integer stacks of the
+monomial rules (``spaces.rule_stacks``, the same stacks the block ranks
+read), and a caller holding polynomials clears them once, with
+``rf_rows_to_int(slice_rows(...))``.
 """
 
 from __future__ import annotations
@@ -358,21 +362,22 @@ def slice_rows(polys: Iterable[Polynomial], n: int, d: int) -> list[SparseRFRow]
     return rows
 
 
-def slice_span(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
-    """Reduced echelon basis of the span of rows of the degree-d slice.
+def slice_span(rows: list[SparseIntRow], n: int, d: int) -> list[Polynomial]:
+    """Reduced echelon basis of the span of integer rows of the degree-d slice.
 
     Columns follow descending lex order, so leading monomials of the output
     strictly decrease and the result is canonical for the span.
     """
     columns = monomials_of_degree(n, d)
-    _, reduced = reduced_echelon(rf_rows_to_int(rows), len(columns))
+    _, reduced = reduced_echelon(rows, len(columns))
     return [row_to_poly(row, n, columns) for row in reduced]
 
 
-def slice_kernel(rows: Sequence[SparseRFRow], n: int, d: int) -> list[Polynomial]:
-    """Reduced echelon basis of the right kernel of rows of the degree-d slice."""
+def slice_kernel(rows: list[SparseIntRow], n: int, d: int) -> list[Polynomial]:
+    """Reduced echelon basis of the right kernel of integer rows of the
+    degree-d slice."""
     columns = monomials_of_degree(n, d)
-    vecs = null_space(rf_rows_to_int(rows), len(columns))
+    vecs = null_space(rows, len(columns))
     return [row_to_poly(v, n, columns) for v in vecs]
 
 
@@ -463,4 +468,4 @@ def echelonize(polys: Sequence[Polynomial]) -> list[Polynomial]:
     if not live:
         return []
     n, d = live[0].n, live[0].homogeneous_degree()
-    return slice_span(slice_rows(live, n, d), n, d)
+    return slice_span(rf_rows_to_int(slice_rows(live, n, d)), n, d)

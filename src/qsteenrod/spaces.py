@@ -13,7 +13,15 @@ are also the orthogonal complement of the hits under the factorial-weighted
 scalar product <x^K, x^K> = K!, for which P_k and D_k are adjoint; the test
 suite cross-checks this degree by degree.  Every slice is read through the
 slice layout of `linalg`: hits are a span, harmonics and K!-complements a
-kernel.
+kernel.  Slices and dimensions share their rows: a harm or hit slice is
+solved on the integer stacks of the monomial rules (`rule_stacks`: the
+D_k, or the P_k transposed, whose row at m is P_k . m), and on the blocks
+route each S_n-block on its `isotypic.pivot_rows`, the rows that
+`block_ranks` reads for its dimension.  No polynomial or rational function
+is built on the way.  `down_constraint_rows`, `down_operator_rows` and
+`hit_generator_rows` apply the operators to every monomial as polynomials;
+no computation here calls them, and they stay as the reference the tests
+compare the stacks with.
 
 The D_k and the P_lambda commute with permuting the variables, so the
 kernel of a slice's rows M is S_n-stable: the D_k rows of a harmonic slice,
@@ -50,10 +58,11 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Sequence
 
-from .isotypic import block_ranks, blocks, stable_kernel, stable_span
+from .isotypic import block_ranks, blocks, pivot_rows, stable_kernel, stable_span
 from .linalg import (
     SparseIntRow,
     SparseRFRow,
+    rf_rows_to_int,
     slice_images,
     slice_kernel,
     slice_rows,
@@ -87,7 +96,7 @@ class GradedSubspace:
 
     @staticmethod
     def from_spanning(n: int, degree: int, polys) -> "GradedSubspace":
-        basis = slice_span(slice_rows(polys, n, degree), n, degree)
+        basis = slice_span(rf_rows_to_int(slice_rows(polys, n, degree)), n, degree)
         return GradedSubspace(n, degree, tuple(basis))
 
     @property
@@ -138,6 +147,8 @@ def hit_generator_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
     """The images P_k . m of the generating P_k, P_1 before P_2, on degree d.
 
     The images of the other P_k lie in their span (see the module docstring).
+    The polynomial reference for the hit `rule_stacks`; `hit_component` does
+    not call it.
     """
     rows: list[SparseRFRow] = []
     for k in generating_degrees(n, q):
@@ -147,18 +158,14 @@ def hit_generator_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
     return rows
 
 
-def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
-    """Degree-d slice of the hit polynomials at the given q."""
-    return GradedSubspace(n, d, tuple(stable_span(hit_generator_rows(n, d, q), n, d)))
-
-
 def down_constraint_rows(
     n: int, d: int, q: QParam, degrees: Sequence[int]
 ) -> list[SparseRFRow]:
     """Stacked matrix of the down operators D_k, k in degrees, on degree d.
 
     The rows of each `down_operator_rows` with k <= d, zero rows dropped.
-    The joint kernel is the harmonic slice.
+    The joint kernel is the harmonic slice.  The polynomial reference for the
+    harm `rule_stacks`; `harm_component` does not call it.
     """
     rows: list[SparseRFRow] = []
     for k in degrees:
@@ -171,7 +178,7 @@ def down_operator_rows(n: int, d: int, q: QParam, k: int) -> list[SparseRFRow]:
     """Matrix of D_k on the degree-d slice, k <= d, zero rows kept.
 
     Row i is the i-th monomial of degree d - k, indexed over the degree-d
-    monomials.
+    monomials.  The polynomial reference for `steenrod.rule_stack`.
     """
     images = slice_images(partial(apply_dk, k=k, q=q), n, d, -k)
     return transpose(images, len(monomials_of_degree(n, d - k)))
@@ -215,14 +222,31 @@ def block_dimension(kind: str, n: int, d: int, q: QParam) -> int:
     return sum(f * mult[lam] for lam, f in blocks(n))
 
 
-# The slice caches are bounded above the traffic of the benchmark commands
-# and four more, each cold: 152 harm and 17 truncated-hit slices.  Hit slices
-# are not cached: none of those commands asks for one twice.
-@lru_cache(maxsize=256)
+def _stack_slice(solve, kind: str, n: int, d: int, q: QParam) -> GradedSubspace:
+    """The harm or hit slice by `solve` (`stable_kernel` or `stable_span`) on
+    the `rule_stacks`, each S_n-block on its `pivot_rows`."""
+    stacks = rule_stacks(kind, n, d, q)
+    rows = [row for stack in stacks.values() for row in stack]
+    basis = solve(rows, n, d, partial(pivot_rows, stacks, n, d))
+    return GradedSubspace(n, d, tuple(basis))
+
+
+def hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
+    """Degree-d slice of the hit polynomials at the given q: the row space of
+    the stacked P_k transposed."""
+    return _stack_slice(stable_span, "hit", n, d, q)
+
+
+# The harm cache is bounded above the traffic of one whole tier-1 test
+# session (359 distinct keys), which also covers the benchmark commands and
+# four more, each cold (152 harm slices).  The truncated-hit bound covers
+# those commands (17 slices).  Hit slices are not cached: none of those
+# commands asks for one twice.
+@lru_cache(maxsize=512)
 def harm_component(n: int, d: int, q: QParam) -> GradedSubspace:
-    """Degree-d slice of the harmonic polynomials at the given q."""
-    rows = down_constraint_rows(n, d, q, generating_degrees(n, q))
-    return GradedSubspace(n, d, tuple(stable_kernel(rows, n, d)))
+    """Degree-d slice of the harmonic polynomials at the given q: the joint
+    kernel of the stacked D_k."""
+    return _stack_slice(stable_kernel, "harm", n, d, q)
 
 
 def weighted_complement(v: GradedSubspace) -> GradedSubspace:
@@ -237,11 +261,12 @@ def weighted_complement(v: GradedSubspace) -> GradedSubspace:
         {j: c * weights[j] for j, c in row.items()}
         for row in slice_rows(v.basis, n, d)
     ]
-    return GradedSubspace(n, d, tuple(slice_kernel(rows, n, d)))
+    return GradedSubspace(n, d, tuple(slice_kernel(rf_rows_to_int(rows), n, d)))
 
 
-def truncated_hit_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
-    """The generators P_lambda . h of the truncated hits on degree d, as rows.
+def truncated_hit_rows(n: int, d: int, q: QParam) -> list[SparseIntRow]:
+    """The generators P_lambda . h of the truncated hits on degree d, as
+    integer rows.
 
     lambda runs over the partitions of length <= n and h over the classical
     harmonics of degree d - |lambda|.
@@ -254,13 +279,18 @@ def truncated_hit_rows(n: int, d: int, q: QParam) -> list[SparseRFRow]:
         for lam in partitions_of(weight, max_length=n):
             for h in harmonics.basis:
                 generators.append(apply_p_lambda(h, lam, q))
-    return slice_rows(generators, n, d)
+    return rf_rows_to_int(slice_rows(generators, n, d))
 
 
 @lru_cache(maxsize=64)
 def truncated_hit_component(n: int, d: int, q: QParam) -> GradedSubspace:
-    """Span of P_lambda . h over length(lambda) <= n and classical harmonics h."""
-    return GradedSubspace(n, d, tuple(stable_span(truncated_hit_rows(n, d, q), n, d)))
+    """Span of P_lambda . h over length(lambda) <= n and classical harmonics h.
+
+    The generators are not a stack of maps V_d -> V_{d-k}, so each S_n-block
+    is solved on all of their rows.
+    """
+    rows = truncated_hit_rows(n, d, q)
+    return GradedSubspace(n, d, tuple(stable_span(rows, n, d, lambda lam: rows)))
 
 
 def truncated_harm_component(n: int, d: int, q: QParam) -> GradedSubspace:

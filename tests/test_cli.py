@@ -1,6 +1,8 @@
 """CLI reports: bit-exact payloads, formats, cache behavior, exit codes."""
 
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from qsteenrod.cli import (
+    RUNNERS,
     CommandSpec,
     SubspaceCache,
+    build_parser,
     cache_key,
     cache_roundtrip,
     deserialize_subspace,
@@ -19,12 +23,13 @@ from qsteenrod.cli import (
     main,
     serialize_polynomial,
     serialize_subspace,
+    spec_from_args,
     _merge_q_flags,
     _payload_checksum,
 )
 from qsteenrod.polynomials import Polynomial
 from qsteenrod.scalars import QParam, RF_Q, qp_mul
-from qsteenrod.spaces import harm_component
+from qsteenrod.spaces import harm_component, hit_component
 from qsteenrod.specialize import bad_q_candidates
 
 FORMAL = QParam.formal()
@@ -145,6 +150,29 @@ def test_cache_free_command_loads_no_hashlib():
     assert proc.stdout.splitlines()[-1] == "False False"
 
 
+def test_cached_command_loads_no_openssl(tmp_path):
+    """The cache hashes with the builtin sha256 where the interpreter has it,
+    so even a command with --cache-dir leaves OpenSSL unloaded."""
+    pytest.importorskip("_sha256")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    code = (
+        "import sys\n"
+        "from qsteenrod.cli import main\n"
+        f"argv = ['hit', '-n', '3', '-d', '4', '--cache-dir', {str(tmp_path)!r}]\n"
+        "assert main(argv + ['--format', 'json']) == 0\n"
+        "assert main(argv + ['--format', 'json']) == 0\n"
+        "print('hashlib' in sys.modules, '_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"
+    assert len(os.listdir(tmp_path)) == 10  # hit at formal q and at 0, d = 0..4
+
+
 def test_badq_loads_no_sympy():
     """The rational roots of the minor gcd are found in house, so a badq
     whose gcd has no rootless factor never imports sympy (about 33 MB of RSS)."""
@@ -223,6 +251,27 @@ def test_cache_store_writes_no_order_field(tmp_path):
     with open(cache._path(key), "r", encoding="utf-8") as fh:
         payload = json.load(fh)["payload"]
     assert sorted(payload) == ["basis", "degree", "n"]
+
+
+def test_cache_store_writes_one_sorted_json_text(tmp_path):
+    # the file holds json.dumps of the wrapper with sorted keys, the same
+    # text that json.dump streams to a file
+    cache = SubspaceCache(str(tmp_path))
+    space = hit_component(4, 6, FORMAL)
+    key = cache_key("hit", 4, 6, FORMAL)
+    cache.store(key, space)
+    payload = serialize_subspace(space)
+    wrapper = {"key": key, "payload": payload, "checksum": _payload_checksum(payload)}
+    text = Path(cache._path(key)).read_text(encoding="utf-8")
+    assert text == json.dumps(wrapper, sort_keys=True)
+    # file name and checksum are the SHA-256 digests hashlib gives
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert wrapper["checksum"] == hashlib.sha256(canonical.encode()).hexdigest()
+    name = hashlib.sha256(key.encode()).hexdigest()[:32] + ".json"
+    assert cache._path(key) == str(tmp_path / name)
+    streamed = io.StringIO()
+    json.dump(wrapper, streamed, sort_keys=True)
+    assert text == streamed.getvalue()
 
 
 def test_cache_file_with_order_field_still_hits(tmp_path):
@@ -346,6 +395,48 @@ def test_dimension_only_cells_build_no_slice(line, built, capsys, monkeypatch):
     assert main(line.split() + ["--format", "json"]) == 0
     capsys.readouterr()
     assert calls == built
+
+
+SHARED_OPTIONS = [
+    ["-n", "3", "-d", "5", "-q", "-2/3"],
+    ["--vars", "3", "--degree", "5", "--q", "-2/3"],
+]
+
+
+@pytest.mark.parametrize("command", list(RUNNERS))
+def test_every_command_parses_the_shared_options(command):
+    def parsed(argv):
+        return spec_from_args(build_parser().parse_args(_merge_q_flags(argv)))
+
+    rest = ["--format", "csv", "--cache-dir", "d", "--seed", "7", "--basis"]
+    given = {
+        "command": command,
+        "n": 3,
+        "degree": 5,
+        "q": QParam.rational(-2, 3),
+        "output_format": "csv",
+        "cache_dir": "d",
+        "seed": 7,
+        "include_basis": True,
+        "kind": "classical-harm",
+        "extended_generators": False,
+    }
+    defaults = {
+        **given,
+        "n": 2,
+        "degree": 1 if command == "hilbert" else 4,
+        "q": FORMAL,
+        "output_format": "pretty",
+        "cache_dir": None,
+        "seed": 0,
+        "include_basis": False,
+    }
+    assert [f.name for f in dataclasses.fields(CommandSpec)] == list(given)
+    for options in SHARED_OPTIONS:
+        spec = parsed([command, *options, *rest])
+        assert {f: getattr(spec, f) for f in given} == given
+    spec = parsed([command])
+    assert {f: getattr(spec, f) for f in defaults} == defaults
 
 
 def test_input_error_exit_code(capsys):

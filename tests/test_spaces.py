@@ -13,6 +13,7 @@ from qsteenrod.errors import InhomogeneousError, VariableCountMismatchError
 from qsteenrod.isotypic import stable_span
 from qsteenrod.linalg import (
     echelonize,
+    rf_rows_to_int,
     slice_images,
     slice_kernel,
     slice_span,
@@ -94,7 +95,8 @@ def test_orthogonality_duality():
 
 def down_kernel_basis(n, d, q, degrees):
     """Oracle: the joint kernel of the D_k, k in degrees, on degree d."""
-    return tuple(slice_kernel(spaces.down_constraint_rows(n, d, q, degrees), n, d))
+    rows = rf_rows_to_int(spaces.down_constraint_rows(n, d, q, degrees))
+    return tuple(slice_kernel(rows, n, d))
 
 
 def test_generator_economy():
@@ -112,7 +114,7 @@ def all_pk_hit_basis(n, d, q):
     rows = []
     for k in range(1, d + 1):
         rows.extend(slice_images(partial(weyl_apply, make_pk(n, k, q)), n, d - k, k))
-    return tuple(slice_span(rows, n, d))
+    return tuple(slice_span(rf_rows_to_int(rows), n, d))
 
 
 def test_hit_generator_economy():
@@ -128,13 +130,13 @@ def test_hit_generator_economy():
                 assert lean == all_pk_hit_basis(n, d, q), (n, d, str(q))
 
 
-def recording(applied, apply):
-    """apply, noting the degree k of each run of calls with the same k."""
+def recording(applied, build):
+    """build, noting the degree k of each run of calls with the same k."""
 
-    def record(p, k, q):
+    def record(n, d, k, q, down):
         if applied[-1:] != [k]:
             applied.append(k)
-        return apply(p, k, q)
+        return build(n, d, k, q, down)
 
     return record
 
@@ -147,12 +149,12 @@ def test_hit_applies_only_the_generating_operators(monkeypatch):
     applied = []
     rows_in = []
 
-    def recording_span(rows, n, d):
+    def recording_span(rows, n, d, rows_of):
         rows_in.append(len(rows))
-        return stable_span(rows, n, d)
+        return stable_span(rows, n, d, rows_of)
 
-    # hit_generator_rows looks its P_k applier up in spaces
-    monkeypatch.setattr(spaces, "apply_pk", recording(applied, spaces.apply_pk))
+    # rule_stacks looks its P_k stack builder up in spaces
+    monkeypatch.setattr(spaces, "rule_stack", recording(applied, spaces.rule_stack))
     # hit_component looks its span solver up in spaces
     monkeypatch.setattr(spaces, "stable_span", recording_span)
     build = hit_component
@@ -172,7 +174,7 @@ def test_hit_applies_only_the_generating_operators(monkeypatch):
 
 def test_harm_applies_only_the_generating_down_operators(monkeypatch):
     applied = []
-    monkeypatch.setattr(spaces, "apply_dk", recording(applied, spaces.apply_dk))
+    monkeypatch.setattr(spaces, "rule_stack", recording(applied, spaces.rule_stack))
     build = harm_component.__wrapped__  # bypass the slice cache
     build(4, 6, FORMAL)
     assert applied == [1, 2]
@@ -455,12 +457,17 @@ def _uncached(build):
 
 
 def _routes(kind, n, d, q):
-    """The rows of one slice, its block solver and its whole-slice solver."""
+    """The rows of one slice, the rows each block is solved on, its block
+    solver and its whole-slice solver."""
+    if kind == "tqhit":
+        rows = spaces.truncated_hit_rows(n, d, q)
+        return rows, lambda lam: rows, isotypic.block_span, slice_span
+    stacks = spaces.rule_stacks(kind, n, d, q)
+    rows = [row for stack in stacks.values() for row in stack]
+    rows_of = partial(isotypic.pivot_rows, stacks, n, d)
     if kind == "harm":
-        rows = spaces.down_constraint_rows(n, d, q, spaces.generating_degrees(n, q))
-        return rows, isotypic.block_kernel, slice_kernel
-    build = spaces.hit_generator_rows if kind == "hit" else spaces.truncated_hit_rows
-    return build(n, d, q), isotypic.block_span, slice_span
+        return rows, rows_of, isotypic.block_kernel, slice_kernel
+    return rows, rows_of, isotypic.block_span, slice_span
 
 
 @pytest.mark.parametrize("q", BLOCK_Q, ids=str)
@@ -470,8 +477,8 @@ def test_block_route_matches_whole_slice(q):
     if q == QParam.rational(1):
         cells += [("harm", 5, 6), ("hit", 5, 6)]
     for kind, n, d in cells:
-        rows, blocks, whole = _routes(kind, n, d, q)
-        assert blocks(rows, n, d) == whole(rows, n, d), (kind, n, d, str(q))
+        rows, rows_of, blocks, whole = _routes(kind, n, d, q)
+        assert blocks(rows_of, n, d) == whole(rows, n, d), (kind, n, d, str(q))
     if q == QParam.rational(-1, 2):
         assert harm_component(4, 4, q).dim == 8
 
@@ -572,9 +579,9 @@ def test_short_block_basis_raises(monkeypatch):
     st.sampled_from(BLOCK_Q),
 )
 def test_block_whole_cached_uncached_agree(kind, n, d, q):
-    rows, blocks, whole = _routes(kind, n, d, q)
+    rows, rows_of, blocks, whole = _routes(kind, n, d, q)
     uncached = _uncached(BUILDERS[kind])(n, d, q).basis
-    assert tuple(blocks(rows, n, d)) == tuple(whole(rows, n, d)) == uncached
+    assert tuple(blocks(rows_of, n, d)) == tuple(whole(rows, n, d)) == uncached
     assert BUILDERS[kind](n, d, q).basis == uncached
 
 
@@ -583,3 +590,28 @@ def test_block_whole_cached_uncached_agree(kind, n, d, q):
 def test_harm_is_the_weighted_complement_of_hit(n, d, q):
     hit = hit_component(n, d, q)
     assert weighted_complement(hit).basis == harm_component(n, d, q).basis
+
+
+STACK_Q = BLOCK_Q[:3] + (
+    QParam.rational(-1),
+    QParam.rational(-1, 2),
+    QParam.rational(-2, 3),
+    QParam.rational(11, 13),
+)
+
+
+@pytest.mark.parametrize("q", STACK_Q, ids=str)
+def test_stack_slices_match_the_polynomial_reference(q):
+    # harm and hit from the integer rule stacks, blocks on their pivot rows,
+    # against the whole-slice solvers of the rows built by applying D_k and
+    # P_k to every monomial as polynomials
+    cells = [(n, d) for n in range(1, 5) for d in range(9)]
+    cells += [(5, d) for d in range(7)]
+    degrees = spaces.generating_degrees
+    for n, d in cells:
+        harm_rows = spaces.down_constraint_rows(n, d, q, degrees(n, q))
+        reference = slice_kernel(rf_rows_to_int(harm_rows), n, d)
+        assert list(_uncached(harm_component)(n, d, q).basis) == reference, (n, d)
+        hit_rows = spaces.hit_generator_rows(n, d, q)
+        reference = slice_span(rf_rows_to_int(hit_rows), n, d)
+        assert list(hit_component(n, d, q).basis) == reference, (n, d)
