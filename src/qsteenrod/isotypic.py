@@ -269,9 +269,11 @@ def block_ranks(
     return out
 
 
-def blocks(n: int) -> list[tuple[Partition, int]]:
+# One entry per n; every block helper reads it through `certify_cover`.
+@lru_cache(maxsize=16)
+def blocks(n: int) -> tuple[tuple[Partition, int], ...]:
     """Every partition lam of n with f_lam (the character at the identity)."""
-    return [(lam, sn_character(lam, (1,) * n)) for lam in partitions_of(n)]
+    return tuple((lam, sn_character(lam, (1,) * n)) for lam in partitions_of(n))
 
 
 def blocks_pay(n: int, d: int) -> bool:

@@ -7,8 +7,12 @@ The common factor of a row costs one integer gcd of its entries evaluated
 at a large point, read back as a polynomial and kept only if it divides
 every entry exactly; that division yields the stripped row
 (``scalars.qp_common_factor``).
-Pivoting is deterministic (leftmost nonzero column, first row wins), which
-makes reduced echelon forms canonical and reproducible.
+Pivoting is deterministic: columns are swept left to right, and in each the
+row with the fewest entries wins, the first on ties (Markowitz's
+fill-reducing rule; ``echelon_sweep``).  Pivot columns, ranks, reduced echelon
+forms and kernels do not depend on which row pivots, so they are canonical;
+only the unreduced rows of ``forward_eliminate`` follow the rule.  The same
+loop, with a cancel mod P, is the column sweep of ``modular.rank_mod_p``.
 Before eliminating, ``reduced_echelon`` and ``sparse_rank`` try the full-rank
 certificate of ``modular.rank_mod_p``: the rank at one seeded point mod a
 61-bit prime is a lower bound on the rank over Q(q), so when it already equals
@@ -174,25 +178,41 @@ def _constant(rows: Iterable[SparseIntRow]) -> bool:
     return all(len(v) == 1 for row in rows for v in row.values())
 
 
-def _echelon(work: list[dict], ncols: int, cancel) -> tuple[list[int], list[dict]]:
-    """The pivot loop of ``forward_eliminate`` on nonzero rows, in place."""
+def echelon_sweep(
+    work: list[dict], ncols: int, cancel, target: int | None = None
+) -> tuple[list[int], list[dict]]:
+    """The pivot loop of ``forward_eliminate`` and ``modular.rank_mod_p`` on
+    nonzero rows, in place; returns pivot columns and pivot rows.
+
+    Columns are swept left to right.  In each, the row with the fewest
+    entries among the rows not yet pivots that hold it (the first on ties)
+    becomes the pivot row, and ``cancel(row, prow, col)`` clears the column
+    from the others (Markowitz's rule).  Rows that cancel to empty are
+    dropped.  With a target, the sweep stops once the rank reaches it, or
+    once the rank plus min(rows left, columns left) falls below it.
+    """
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        pivot_at = None
-        for i in range(rank, len(work)):
-            if col in work[i]:
-                pivot_at = i
-                break
-        if pivot_at is None:
+        if target is not None and (
+            rank == target or rank + min(len(work) - rank, ncols - col) < target
+        ):
+            break
+        hits = [i for i in range(rank, len(work)) if col in work[i]]
+        if not hits:
             continue
-        work[rank], work[pivot_at] = work[pivot_at], work[rank]
-        prow = work[rank]
-        for i in range(rank + 1, len(work)):
-            if col in work[i]:
+        best = min(hits, key=lambda i: len(work[i]))
+        prow = work[best]
+        emptied = False
+        for i in hits:
+            if i != best:
                 work[i] = cancel(work[i], prow, col)
-        pivots.append(col)
+                emptied = emptied or not work[i]
+        work[best], work[rank] = work[rank], prow
         rank += 1
+        if emptied:
+            work[rank:] = [row for row in work[rank:] if row]
+        pivots.append(col)
     return pivots, work[:rank]
 
 
@@ -206,8 +226,8 @@ def forward_eliminate(
     """
     live = [r for r in rows if r]
     if not _constant(live):
-        return _echelon([dict(r) for r in live], ncols, _cancel)
-    pivots, ech = _echelon(
+        return echelon_sweep([dict(r) for r in live], ncols, _cancel)
+    pivots, ech = echelon_sweep(
         [{j: v[0] for j, v in r.items()} for r in live], ncols, _cancel_int
     )
     return pivots, [{j: (v,) for j, v in r.items()} for r in ech]

@@ -14,8 +14,14 @@ At a given rational point a/b (P not dividing b) the same reduction, with
 q0 = a / b mod P, bounds the rank of the evaluated matrix over Q from below,
 and falls short only where P divides every nonzero r x r minor there.
 
-An `Echelon` keeps the reduced rows, so more can be added later and no row
-is reduced twice: `steenrod.operator_span_rank` adds its probe cells one
+`rank_mod_p` sweeps the evaluated rows column by column with linalg's pivot
+loop (`linalg.echelon_sweep`): in each column the row with the fewest
+entries pivots, so fill-in stays low whatever the column order (formal
+harm(5, 11)'s 1716 x 1365 D_1, D_2 rows, shared 2-core VM: 5.5-8.0 s ->
+0.6-1.3 s in natural column order, 1.1-1.6 s -> 0.7-1.6 s reversed, against
+the row-by-row reduction it replaced).  An `Echelon` instead reduces rows
+one by one against the rows kept before, so more can be added later and no
+row is reduced twice: `steenrod.operator_span_rank` adds its probe cells one
 degree at a time and stops, building no later cell, once the rank reaches
 the number of operators.
 
@@ -44,6 +50,16 @@ def _value(poly: tuple[int, ...], q0: int) -> int:
     return acc
 
 
+def _evaluate(row: dict[int, tuple[int, ...]], q0: int) -> dict[int, int]:
+    """The nonzero entries of row at q0 mod P."""
+    vec = {}
+    for j, poly in row.items():
+        value = _value(poly, q0)
+        if value:
+            vec[j] = value
+    return vec
+
+
 def seeded_point(seed: str) -> int:
     """A q0 in [2, P) drawn by a ``random.Random`` seeded with seed."""
     return random.Random(seed).randrange(2, P)
@@ -67,11 +83,7 @@ class Echelon:
 
     def add(self, row: dict[int, tuple[int, ...]]) -> None:
         """Reduce row at q0 against the kept rows; keep it if it stays nonzero."""
-        pivots, vec = self.pivots, {}
-        for j, poly in row.items():
-            value = _value(poly, self.q0)
-            if value:
-                vec[j] = value
+        pivots, vec = self.pivots, _evaluate(row, self.q0)
         while vec:
             lead = min(vec)
             prow = pivots.get(lead)
@@ -96,6 +108,28 @@ class Echelon:
         return len(self.pivots)
 
 
+def _cancel_mod(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """Clear column col of row by the pivot row prow, both mod P, in place.
+
+    prow is first scaled, in place, to a unit entry at col, so only the
+    first row cleared by a pivot row pays for the inverse.
+    """
+    lead = prow[col]
+    if lead != 1:
+        inv = pow(lead, -1, P)
+        for j, v in prow.items():
+            prow[j] = v * inv % P
+    f = row.pop(col)
+    for j, v in prow.items():
+        if j != col:
+            value = (row.get(j, 0) - f * v) % P
+            if value:
+                row[j] = value
+            else:
+                del row[j]
+    return row
+
+
 def rank_mod_p(
     rows: list[dict[int, tuple[int, ...]]],
     ncols: int,
@@ -105,22 +139,20 @@ def rank_mod_p(
     """Rank of rows at a point mod P; a lower bound on the exact rank there.
 
     The point is the rational ``point`` if given, else a q0 seeded by the
-    matrix shape, for which the bound is on the rank over Q(q).  Rows are
-    reduced one by one against rows with unit leading entries (`Echelon`).
-    With a target, the reduction stops once the rank reaches it, and also
-    once the rows left cannot reach it, and the rank found so far is
-    returned; without one it runs to completion.
+    matrix shape, for which the bound is on the rank over Q(q).  The
+    evaluated rows are swept column by column by linalg's pivot loop
+    (``linalg.echelon_sweep``: in each column the shortest row holding it
+    pivots), so fill-in stays low whatever the column order.  With a target,
+    the sweep stops once the rank reaches it, and also once the rows and
+    columns left cannot reach it, and the rank found so far is returned;
+    without one it runs to completion.
     """
+    from .linalg import echelon_sweep  # here: linalg imports this module
+
     live = [row for row in rows if row]
     if point is None:
         q0 = seeded_point(f"{len(live)}x{ncols}")
     else:
         q0 = point.numerator * pow(point.denominator, -1, P) % P
-    echelon = Echelon(q0)
-    for i, row in enumerate(live):
-        if target is not None and (
-            echelon.rank == target or echelon.rank + len(live) - i < target
-        ):
-            break
-        echelon.add(row)
-    return echelon.rank
+    work = [vec for vec in (_evaluate(row, q0) for row in live) if vec]
+    return len(echelon_sweep(work, ncols, _cancel_mod, target)[0])

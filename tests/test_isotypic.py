@@ -6,11 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from qsteenrod import isotypic
+from qsteenrod import isotypic, spaces
 from qsteenrod.isotypic import block_basis, blocks
-from qsteenrod.linalg import forward_eliminate
+from qsteenrod.linalg import forward_eliminate, sparse_rank
 from qsteenrod.polynomials import monomials_of_degree
 from qsteenrod.representations import standard_tableaux
+from qsteenrod.scalars import FORMAL, QParam
 from qsteenrod.specialize import constraint_stacks, harmonic_constraint_rows
 
 
@@ -176,3 +177,28 @@ def test_block_consumers_certify_the_cover_themselves(monkeypatch):
     rows = harmonic_constraint_rows(3, 3, (1, 2))[0]
     with pytest.raises(AssertionError, match="cover"):
         isotypic.block_rows(rows, 3, 3, (3,))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pivot_rows_are_the_rows_at_the_target_pivots(n):
+    """For each k in order, `pivot_rows` takes row i of stack k, the very
+    row object, for each pivot i of B_lam(d - k), and on those pivots
+    B_lam(d - k) is square and invertible (the module docstring's C_S)."""
+    for q in (FORMAL, QParam.rational(-1, 2)):
+        for kind in ("harm", "hit"):
+            for d in range(n * (n - 1) // 2 + 3):
+                stacks = spaces.rule_stacks(kind, n, d, q)
+                for lam, _ in blocks(n):
+                    expected = []
+                    for k, stack in stacks.items():
+                        basis = block_basis(n, d - k, lam)
+                        assert len(basis.pivots) == len(basis)
+                        square = [
+                            {s: (vec[j],) for s, j in enumerate(basis.pivots) if j in vec}
+                            for vec in basis
+                        ]
+                        assert sparse_rank(square, len(basis)) == len(basis)
+                        expected.extend(stack[i] for i in basis.pivots)
+                    got = isotypic.pivot_rows(stacks, n, d, lam)
+                    assert len(got) == len(expected), (kind, d, lam)
+                    assert all(a is b for a, b in zip(got, expected)), (kind, d, lam)

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qsteenrod import linalg, spaces
+from qsteenrod import linalg, modular, spaces
 from qsteenrod.errors import InhomogeneousError, VariableCountMismatchError
 from qsteenrod.linalg import (
     Matrix,
@@ -33,6 +33,8 @@ from qsteenrod.scalars import (
     RF_ZERO,
     RationalFunction,
     as_rf,
+    qp_add,
+    qp_scale,
     qp_trim,
     rf_normalize,
 )
@@ -187,22 +189,36 @@ def test_down_operator_is_factorial_adjoint_on_every_slice(q):
 
 
 # sha256 of repr((pivots, rows)) of forward_eliminate on the stacked D_1..D_4
-# rows of the degree-5 slice in 4 variables, computed with the primitive-PRS
-# fold as the row gcd: however the gcd is found, every row of the echelon
-# form, entry order included, must stay the same, not only the reports.
+# rows of the degree-5 slice in 4 variables, under the shortest-row pivot
+# rule: however the row gcd is found, every row of the echelon form, entry
+# order included, must stay the same, not only the reports.  The rows depend
+# on the pivot rule; the reduced echelon form does not.
 ELIMINATION_DIGESTS = {
-    FORMAL: "9b610e2e71fcd0403f58baf101047714791ae19d544af096cbabf5e352dc0268",
-    QParam.rational(-2, 3): "b3de82caa10311c69c4ac5a224ba311867314c9a22178f97b3c53f3651472319",
+    FORMAL: "f9ae08e14e0eae8828411a402dc1cf32cea48f416a34b3dcfd762a4aff6c72d6",
+    QParam.rational(-2, 3): "a2d79c7edf4db3828e76607da5fa3bda3b5960cac89c10625570b1a2cdf6a80d",
+}
+# sha256 of repr((pivots, [sorted(row.items()) for row in rows])) of
+# reduced_echelon on the same rows, taken under the first-row-wins rule: the
+# reduced echelon form is unique, so no pivot rule may change it.  Entries are
+# sorted by column because their dict order follows the elimination.
+REDUCED_DIGESTS = {
+    FORMAL: "b38edf8ad5c904ec157c3b01732a4b47d6e46e790da909ce1750f08bc7a9ad09",
+    QParam.rational(-2, 3): "206eec6444aad2e2991361d4506bc0b0c61d907be0b6620f332c1736ab2cac01",
 }
 
 
 @pytest.mark.parametrize("q", list(ELIMINATION_DIGESTS), ids=str)
 def test_forward_eliminate_rows_pinned(q):
     rows = rf_rows_to_int(down_constraint_rows(4, 5, q, (1, 2, 3, 4)))
-    out = forward_eliminate(rows, len(monomials_of_degree(4, 5)))
+    ncols = len(monomials_of_degree(4, 5))
+    out = forward_eliminate(rows, ncols)
     assert len(out[0]) == 53
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == ELIMINATION_DIGESTS[q]
+    pivots, reduced = reduced_echelon(rows, ncols)
+    canonical = (pivots, [sorted(row.items()) for row in reduced])
+    digest = hashlib.sha256(repr(canonical).encode()).hexdigest()
+    assert digest == REDUCED_DIGESTS[q]
 
 
 @st.composite
@@ -397,3 +413,73 @@ def test_integer_clearing_matches_polynomial_clearing(rows):
     with mock.patch.object(RationalFunction, "is_constant", property(lambda self: False)):
         slow = [list(r.items()) for r in rf_rows_to_int(rows)]
     assert fast == slow
+
+
+# -- pivot rule: the shortest row in each column against first row wins ------
+
+
+def _first_row_wins(work, ncols, cancel):
+    """The pivot loop as it was before the shortest-row rule: in each column
+    the first row holding it pivots, and rows that cancel to empty stay."""
+    pivots, rank = [], 0
+    for col in range(ncols):
+        at = next((i for i in range(rank, len(work)) if col in work[i]), None)
+        if at is None:
+            continue
+        work[rank], work[at] = work[at], work[rank]
+        for i in range(rank + 1, len(work)):
+            if col in work[i]:
+                work[i] = cancel(work[i], work[rank], col)
+        pivots.append(col)
+        rank += 1
+    return pivots, work[:rank]
+
+
+def _reference(fn, rows, ncols):
+    """fn with the first-row-wins loop and no mod-P certificate."""
+    with mock.patch.object(linalg, "echelon_sweep", _first_row_wins), mock.patch.object(
+        modular, "rank_mod_p", lambda *args: -1
+    ):
+        return fn(rows, ncols)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse matrices of at most 10 x 8, over Z[q] (q-degree <= 2) or of
+    constants only, with some rows integer combinations of two others."""
+    ncols = draw(st.integers(1, 8))
+    coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=1)
+    if draw(st.booleans()):
+        coeffs = st.lists(st.integers(-3, 3), max_size=3)
+    entry = coeffs.map(lambda c: qp_trim(tuple(c))).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=3)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        combo = {}
+        for r, c in ((a, x), (b, y)):
+            for j, v in r.items():
+                combo[j] = qp_add(combo.get(j, ()), qp_scale(v, c))
+        rows.insert(draw(st.integers(0, len(rows))), {j: v for j, v in combo.items() if v})
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+@example(([{0: (1,), 1: (1,), 2: (1,)}, {0: (2,)}, {1: (3,), 2: (1,)}], 3))
+@example(([{0: (1, 1), 1: (2,)}, {0: (0, 1)}, {0: (1,), 1: (0, 0, 1)}], 2))
+@example(([{0: (1,), 1: (1,)}, {0: (1,)}, {0: (2,)}, {1: (5,)}], 2))
+def test_shortest_row_pivots_match_first_row_wins(matrix):
+    """Pivot columns, reduced echelon forms, kernels and ranks are unique, so
+    the pivot rule changes none of them."""
+    rows, ncols = matrix
+    assert forward_eliminate(rows, ncols)[0] == _reference(forward_eliminate, rows, ncols)[0]
+    for fn in (reduced_echelon, null_space, sparse_rank):
+        assert fn(rows, ncols) == _reference(fn, rows, ncols), fn.__name__
+
+
+def test_pivot_row_is_the_shortest_holding_the_column():
+    rows = [{0: (1,), 1: (1,), 2: (1,)}, {0: (2,), 2: (1,)}, {0: (3,)}, {0: (5,)}]
+    pivots, ech = forward_eliminate(rows, 3)
+    assert pivots == [0, 1, 2] and ech[0] == {0: (3,)}

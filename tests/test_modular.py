@@ -177,3 +177,21 @@ def test_echelon_grown_in_batches_ranks_every_row(case, q0, data):
     assert echelon.rank == modular.rank_mod_p(rows, ncols, point=Fraction(q0))
     target = data.draw(st.integers(0, echelon.rank))
     assert modular.Echelon(q0).extend(rows, target) == target
+
+
+@settings(max_examples=300, deadline=None)
+@given(deficient_matrices(), st.integers(0, 7))
+@example(([{0: (1,), 1: (1,), 2: (1,)}, {0: (2,)}, {2: (3,)}], 3, 3), 3)
+def test_column_sweep_matches_row_by_row_echelon(case, target):
+    """The column sweep of `rank_mod_p` finds the rank that adding the rows
+    one by one to an `Echelon` finds at the same seeded q0; with a target it
+    returns the target exactly when that rank reaches it, and never more."""
+    rows, ncols, _ = case
+    live = [row for row in rows if row]
+    q0 = modular.seeded_point(f"{len(live)}x{ncols}")
+    full = modular.Echelon(q0).extend(rows, ncols)
+    assert modular.rank_mod_p(rows, ncols) == full
+    assert modular.rank_mod_p(rows, ncols, point=Fraction(q0)) == full
+    got = modular.rank_mod_p(rows, ncols, target)
+    assert got <= min(full, target)
+    assert (got == target) == (full >= target)
