@@ -176,10 +176,25 @@ def serialize_polynomial(p: Polynomial) -> list:
     ]
 
 
-def deserialize_polynomial(n: int, data: list) -> Polynomial:
+def _stored_int_poly(data) -> tuple[int, ...]:
+    """An integer polynomial as `serialize_polynomial` writes it: a nonempty
+    list of ints whose last entry is nonzero; anything else is corrupt."""
+    if type(data) is not list or not data or not data[-1] or any(
+        type(c) is not int for c in data
+    ):
+        raise ValueError(f"stored coefficient {data!r} is not a trimmed int list")
+    return tuple(data)
+
+
+def deserialize_polynomial(n: int, degree: int, data: list) -> Polynomial:
+    """A polynomial of the degree-d slice on n variables; ValueError unless
+    every term is a monomial of that degree with a stored Q(q) coefficient."""
     terms = {}
     for mono, num, den in data:
-        terms[tuple(mono)] = RationalFunction.make(tuple(num), tuple(den))
+        mono = tuple(mono)
+        if sum(mono) != degree:
+            raise ValueError(f"stored monomial {mono!r} is not of degree {degree}")
+        terms[mono] = RationalFunction.make(_stored_int_poly(num), _stored_int_poly(den))
     return Polynomial(n, terms)
 
 
@@ -192,10 +207,9 @@ def serialize_subspace(v: GradedSubspace) -> dict:
 
 
 def deserialize_subspace(data: dict) -> GradedSubspace:
-    basis = tuple(
-        deserialize_polynomial(data["n"], entry) for entry in data["basis"]
-    )
-    return GradedSubspace(data["n"], data["degree"], basis)
+    n, degree = data["n"], data["degree"]
+    basis = tuple(deserialize_polynomial(n, degree, entry) for entry in data["basis"])
+    return GradedSubspace(n, degree, basis)
 
 
 def _sha256_hex(text: str) -> str:
@@ -290,14 +304,15 @@ def _cached_component(
     spec: CommandSpec, kind: str, n: int, d: int, q: QParam
 ) -> GradedSubspace:
     """The degree-d slice of a family in spaces.COMPONENTS at q; with a cache
-    directory it is read from disk when stored there, else built and stored."""
+    directory it is read from disk when stored there, else built and stored
+    over a file that fails to load or holds another slice."""
     build = COMPONENTS[kind]
     if not spec.cache_dir:
         return build(n, d, q)
     cache = SubspaceCache(spec.cache_dir)
     key = cache_key(kind, n, d, q)
     hit = cache.load(key)
-    if hit is not None:
+    if hit is not None and (hit.n, hit.degree) == (n, d):
         return hit
     value = build(n, d, q)
     cache.store(key, value)
@@ -307,14 +322,13 @@ def _cached_component(
 def _dimension(spec: CommandSpec, kind: str, n: int, d: int, q: QParam) -> int:
     """The dimension of the degree-d slice of a family in spaces.COMPONENTS at q.
 
-    With a cache directory it is that of the slice `_cached_component`
-    reads or stores, so later commands reuse the slice.  Otherwise harm and
-    hit dimensions come from the certified S_n-block ranks
-    (`spaces.block_dimension`), with no basis built.
+    Harm and hit dimensions come from the certified S_n-block ranks
+    (`spaces.block_dimension`), with no basis built or cached; the truncated
+    families have no block ranks and take that of their slice.
     """
-    if spec.cache_dir or kind not in RANKED_KINDS:
-        return _cached_component(spec, kind, n, d, q).dim
-    return block_dimension(kind, n, d, q)
+    if kind in RANKED_KINDS:
+        return block_dimension(kind, n, d, q)
+    return _cached_component(spec, kind, n, d, q).dim
 
 
 # ---------------------------------------------------------------------------
@@ -488,26 +502,11 @@ def run_strings(spec: CommandSpec) -> Report:
     return Report(spec.echo(), tables, findings)
 
 
-def _harm_character(spec: CommandSpec) -> GradedCharacter:
-    """The graded character of the harm slices up to the cap.
-
-    With a cache directory it is read off the slices `_cached_component`
-    reads or stores, so later commands reuse them.  Otherwise it is the sum
-    of mult_lam chi^lam over the certified S_n-block multiplicities
-    (`spaces.block_multiplicities`), with no basis built.
-    """
+def run_character(spec: CommandSpec) -> Report:
     degrees = range(spec.degree + 1)
-    if spec.cache_dir:
-        return graded_character(
-            [_cached_component(spec, "harm", spec.n, d, spec.q) for d in degrees]
-        )
-    return multiplicity_character(
+    chi = multiplicity_character(
         spec.n, [(d, block_multiplicities("harm", spec.n, d, spec.q)) for d in degrees]
     )
-
-
-def run_character(spec: CommandSpec) -> Report:
-    chi = _harm_character(spec)
     classes = list(partitions_of(spec.n))
     identity = (1,) * spec.n
     tables = []

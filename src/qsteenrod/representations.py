@@ -239,9 +239,8 @@ def graded_character(
 ) -> GradedCharacter:
     """Trace of one representative per cycle type on every degree slice.
 
-    This is the slice route: it reads the traces off bases already built
-    (a `--cache-dir` run, `verify`) and is the oracle the tests hold
-    `multiplicity_character` to.  Each slice must be stable under the
+    It reads the traces off bases already built (`verify`'s harm slices)
+    and is the oracle the tests hold `multiplicity_character` to.  Each slice must be stable under the
     adjacent transpositions; violations raise NotStableError naming the
     degree and transposition.  Values are exact rationals (they are in fact
     integers for modules defined over Q).

@@ -170,7 +170,7 @@ def test_cached_command_loads_no_openssl(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False False"
-    assert len(os.listdir(tmp_path)) == 10  # hit at formal q and at 0, d = 0..4
+    assert len(os.listdir(tmp_path)) == 1  # the listed top degree of formal hit
 
 
 def test_badq_loads_no_sympy():
@@ -317,6 +317,64 @@ def test_cli_recomputes_over_wrong_shape_cache_files(content, tmp_path, capsys):
     assert captured.out == cold and captured.err == ""
 
 
+# Payloads with a valid checksum under the key of the degree-2 harm slice on
+# two variables (dimension 0 at formal q) that still do not hold that slice.
+CORRUPT_SLICES = {
+    "degree-5 slice": {"n": 2, "degree": 5, "basis": [[[[3, 2], [1], [1]]]]},
+    "degree-5 term": {"n": 2, "degree": 2, "basis": [[[[3, 2], [1], [1]]]]},
+    "three variables": {"n": 3, "degree": 2, "basis": [[[[1, 1, 0], [1], [1]]]]},
+    "float coefficient": {"n": 2, "degree": 2, "basis": [[[[1, 1], [1.5], [1]]]]},
+    "empty denominator": {"n": 2, "degree": 2, "basis": [[[[1, 1], [1], []]]]},
+    "zero denominator": {"n": 2, "degree": 2, "basis": [[[[1, 1], [1], [0]]]]},
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT_SLICES))
+def test_cli_recomputes_over_corrupt_slices(case, tmp_path, capsys):
+    argv = ["harm", "-n", "2", "-d", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    cache = SubspaceCache(str(tmp_path))
+    key = cache_key("harm", 2, 2, FORMAL)
+    payload = CORRUPT_SLICES[case]
+    wrapper = {"key": key, "payload": payload, "checksum": _payload_checksum(payload)}
+    Path(cache._path(key)).write_text(json.dumps(wrapper), encoding="utf-8")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold and captured.err == ""
+    assert cache.load(key) == harm_component(2, 2, FORMAL)  # overwritten
+
+
+CACHED_LINES = [
+    "harm -n 3 -d 4",
+    "hit -n 3 -d 4",
+    "harm -n 3 -d 3 --basis",
+    "hilbert --kind harm -n 3 -d 4",
+    "hilbert --kind hit -n 3 -d 4",
+    "hilbert --kind tqharm -n 3 -d 3",
+    "character -n 3 -d 4",
+    "verify -n 3 -d 3",
+    "truncated -n 3 -d 3",
+]
+
+
+@pytest.mark.parametrize("q", ["formal", "1", "-1/2"])
+@pytest.mark.parametrize("line", CACHED_LINES)
+def test_cache_dir_changes_no_report(line, q, tmp_path, capsys):
+    """--cache-dir only stores slices: cold and warm, the report equals the
+    uncached one except for spec.cache_dir."""
+    argv = line.split() + ["-q", q, "--format", "json"]
+    assert main(argv) == 0
+    uncached = json.loads(capsys.readouterr().out)
+    assert uncached["spec"].pop("cache_dir") is None
+    for _ in ("cold", "warm"):
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["spec"].pop("cache_dir") == str(tmp_path)
+        assert report == uncached
+
+
 def test_cached_cli_run_identical(tmp_path, capsys):
     args = ["harm", "-n", "2", "-d", "2", "--format", "json",
             "--cache-dir", str(tmp_path)]
@@ -358,10 +416,7 @@ def _count_slice_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("line", ["verify -n 3 -d 4", "verify -n 2 -d 3 -q -2/3",
-                                  "character -n 3 -d 3",
-                                  "hilbert --kind harm -n 3 -d 4",
-                                  "hilbert --kind hit -n 3 -d 4 -q -1/2"])
+@pytest.mark.parametrize("line", ["verify -n 3 -d 4", "verify -n 2 -d 3 -q -2/3"])
 def test_warm_cache_builds_no_slice(line, tmp_path, capsys, monkeypatch):
     argv = line.split() + ["--format", "json", "--cache-dir", str(tmp_path / "warm")]
     assert main(argv) == 0
@@ -386,15 +441,25 @@ def test_warm_cache_builds_no_slice(line, tmp_path, capsys, monkeypatch):
         ("hit -n 3 -d 4 -q 1 --basis",
          [("hit_component", 3, d, "1") for d in range(5)]),
         ("character -n 4 -d 6", []),
+        ("character -n 3 -d 3", []),
+        ("hilbert --kind harm -n 3 -d 4", []),
+        ("hilbert --kind hit -n 3 -d 4 -q -1/2", []),
     ],
 )
-def test_dimension_only_cells_build_no_slice(line, built, capsys, monkeypatch):
-    """Without a cache directory a cell that prints only a dimension reads
-    the block ranks; a slice is built only where its basis is listed."""
+def test_dimension_only_cells_build_no_slice(
+    line, built, tmp_path, capsys, monkeypatch
+):
+    """A cell that prints only a dimension reads the block ranks, with or
+    without a cache directory; a slice is built only where its basis is
+    listed, and a warm cache directory holds every such slice."""
     calls = _count_slice_calls(monkeypatch)
-    assert main(line.split() + ["--format", "json"]) == 0
-    capsys.readouterr()
-    assert calls == built
+    argv = line.split() + ["--format", "json"]
+    cached = argv + ["--cache-dir", str(tmp_path)]
+    for run, expected in [(argv, built), (cached, built), (cached, [])]:
+        calls.clear()
+        assert main(run) == 0
+        capsys.readouterr()
+        assert calls == expected
 
 
 SHARED_OPTIONS = [
@@ -483,7 +548,9 @@ def test_cache_file_that_cannot_be_written_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["badq -n 2 -d 3", "hilbert --kind sym -n 2 -d 3", "schubert -n 3"]
+    "line",
+    ["badq -n 2 -d 3", "hilbert --kind sym -n 2 -d 3", "schubert -n 3",
+     "character -n 2 -d 2", "hilbert --kind harm -n 2 -d 3"],
 )
 def test_cache_dir_naming_a_file_exits_2_without_slices(line, tmp_path, capsys):
     """Commands that read no cached slice still reject the option."""
