@@ -16,10 +16,22 @@ e_T M^nu has dimension the Kostka number K_{lam nu}.
 
 `block_basis` takes e_T(m) for every monomial m whose exponents fill T
 semistandardly (weakly increasing along rows, strictly up columns): an
-orbit of type nu has K_{lam nu} of them.  One exact elimination over Z
-checks them independent, and `certify_cover` counts them against the
-slice, sum of f_lam |B_lam| = dim V_d, which makes each B_lam a basis of
-e_T V_d.  `block_rows` multiplies a matrix over Z[q] by that basis, and
+orbit of type nu has K_{lam nu} of them.  These vectors depend only on the
+pattern in which m repeats its exponents.  Replace each exponent by its
+rank among the distinct ones, (3, 1, 1, 0) -> (2, 1, 1, 0), and count
+each distinct exponent in increasing order, its orbit type (1, 2, 1): the
+increasing map from ranks back to exponents keeps semistandard fillings
+semistandard, commutes with permuting the variables and keeps the
+descending lex order of the slice columns.  So e_T is built once per shape
+and orbit type on the rank tuples (a template, checked independent by one
+small exact elimination over Z) and moved onto each orbit of that type.
+The templates' pivot columns, moved too, are those one elimination over
+the whole slice would find: vectors of different orbits have disjoint
+supports, so the basis is independent exactly when every template is, and
+greedy pivoting by columns picks the lex-first column basis, orbit by
+orbit.  `certify_cover` counts the vectors against the slice, sum of f_lam
+|B_lam| = dim V_d, which makes each B_lam a basis of e_T V_d.
+`block_rows` multiplies a matrix over Z[q] by that basis, and
 `pivot_rows` picks rows by the pivots of the target bases; each certifies
 the cover of every degree whose bases it reads, so a basis that falls short
 raises AssertionError instead of giving a wrong rank.  The blocks have four
@@ -83,8 +95,10 @@ V_d -> V_{d-k}.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import linalg
@@ -102,90 +116,232 @@ from .scalars import qp_add, qp_scale
 from .steenrod import Partition, partitions_of
 
 
-Group = tuple[tuple[tuple[int, ...], int], ...]
+# Per position p of a rank tuple, the bounds that T's steps put on entry p
+# from earlier entries: (q, s, True) for r_q + s <= r_p, (q, s, False) for
+# r_p + s <= r_q.
+Checks = tuple[tuple[tuple[int, int, bool], ...], ...]
+# A permutation of the variables acting on exponent tuples, with its sign.
+SignedMove = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], int]
 # The rows a block is solved on, by partition lam (see `_spread_kernel`).
 RowsOf = Callable[[Partition], list[SparseIntRow]]
 
 
-def _group(parts: list[tuple[int, ...]], n: int) -> Group:
-    """Every (sigma, sign) that permutes the entries within each part."""
-    out = []
-    for images in product(*(permutations(part) for part in parts)):
-        sigma = list(range(1, n + 1))
-        for part, image in zip(parts, images):
-            for a, b in zip(part, image):
-                sigma[a - 1] = b
-        perm = tuple(sigma)
-        out.append((perm, -1 if inversions(perm) % 2 else 1))
-    return tuple(out)
+def _move(sigma: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """`permute_monomial` by sigma as one call: entry j of the image is entry
+    sigma^-1(j) of the exponents."""
+    source = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        source[s - 1] = i
+    # itemgetter of one index returns the entry, not a 1-tuple.
+    return itemgetter(*source) if len(source) > 1 else tuple
 
 
 # One entry per shape: every partition of n <= 7 is 44 keys.
 @lru_cache(maxsize=64)
 def _symmetrizer(
     lam: Partition,
-) -> tuple[Group, Group, tuple[tuple[int, int, int], ...]]:
-    """R(T) and C(T) for the first standard tableau T of shape lam, as
-    (sigma, sign) pairs, and the steps (a, b, s) of T: b follows a along a
-    row (s = 0) or up a column (s = 1), entries counted from 0."""
+) -> tuple[tuple[tuple[int, ...], ...], tuple[SignedMove, ...], Checks]:
+    """For the first standard tableau T of shape lam: its rows, C(T) as
+    (move, sign) pairs, and the semistandard checks of T (`Checks`) from its
+    steps (a, b, s): b follows a along a row (s = 0) or up a column
+    (s = 1), and a filling r needs r_a + s <= r_b.  Entries are counted
+    from 0."""
     tableau = next(standard_tableaux(lam))
     n = sum(lam)
-    steps = tuple(
-        (a - 1, b - 1, s)
-        for s, parts in enumerate((tableau.rows, tableau.columns()))
-        for part in parts
-        for a, b in zip(part, part[1:])
-    )
-    return _group(tableau.rows, n), _group(tableau.columns(), n), steps
+    checks: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+    for s, parts in enumerate((tableau.rows, tableau.columns())):
+        for part in parts:
+            for a, b in zip(part, part[1:]):
+                if a < b:
+                    checks[b - 1].append((a - 1, s, True))
+                else:
+                    checks[a - 1].append((b - 1, s, False))
+    column_group = []
+    for images in product(*(permutations(part) for part in tableau.columns())):
+        sigma = list(range(1, n + 1))
+        for part, image in zip(tableau.columns(), images):
+            for a, b in zip(part, image):
+                sigma[a - 1] = b
+        column_group.append((_move(sigma), -1 if inversions(sigma) % 2 else 1))
+    rows = tuple(tuple(a - 1 for a in row) for row in tableau.rows)
+    return rows, tuple(column_group), tuple(map(tuple, checks))
+
+
+def _rank_tuples(counts: tuple[int, ...], checks: Checks) -> list[tuple[int, ...]]:
+    """The tuples with counts[r] entries equal to r for each r that pass
+    every check of checks, in descending lex order."""
+    size, top = len(checks), len(counts) - 1
+    left = list(counts)
+    rank = [0] * size
+    out: list[tuple[int, ...]] = []
+
+    def fill(p: int) -> None:
+        if p == size:
+            out.append(tuple(rank))
+            return
+        low, high = 0, top
+        for q, s, below in checks[p]:
+            if below:
+                low = max(low, rank[q] + s)
+            else:
+                high = min(high, rank[q] - s)
+        for r in range(high, low - 1, -1):
+            if left[r]:
+                rank[p] = r
+                left[r] -= 1
+                fill(p + 1)
+                left[r] += 1
+
+    fill(0)
+    return out
+
+
+def _row_images(
+    rank: tuple[int, ...], rows: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, ...]]:
+    """The distinct images of rank under R(T): every distinct rearrangement
+    of its entries within each row of T."""
+    images = [rank]
+    for row in rows:
+        if len(row) == 1:
+            continue
+        grown = []
+        for values in set(permutations([rank[a] for a in row])):
+            for image in images:
+                new = list(image)
+                for a, v in zip(row, values):
+                    new[a] = v
+                grown.append(tuple(new))
+        images = grown
+    return images
 
 
 class BlockBasis(tuple):
     """The vectors of `block_basis`; ``pivots`` holds the ascending pivot
     columns of the exact elimination that checked them independent, on
-    which the vectors restrict to a square invertible matrix.
+    which the vectors restrict to a square invertible matrix, and
+    ``columns`` the transpose: slice column j -> (k, c, k', c', ...) for
+    each vector k with coefficient c != 0 at j, in the order of k (flat: a
+    pair per entry would hold most of the basis's memory).
     """
 
     pivots: tuple[int, ...]
+    columns: dict[int, tuple[int, ...]]
 
     def __new__(cls, vectors: Sequence[dict[int, int]], pivots: Sequence[int]):
         basis = super().__new__(cls, vectors)
         basis.pivots = tuple(pivots)
+        columns: defaultdict[int, list[int]] = defaultdict(list)
+        for k, vec in enumerate(basis):
+            for j, c in vec.items():
+                columns[j] += k, c
+        basis.columns = {j: tuple(flat) for j, flat in columns.items()}
         return basis
 
 
-# Bounded above the traffic of the whole test suite in one session (339
-# distinct keys; a bound of 256 built 399 of them twice) and of
+# One entry per orbit type, a composition of n: those of n <= 7 are 127 keys.
+@lru_cache(maxsize=256)
+def _arrangements(counts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The position of each rank tuple of orbit type counts (counts[r] entries
+    equal to r for each r), in descending lex order."""
+    tuples = _rank_tuples(counts, ((),) * sum(counts))
+    return {rank: t for t, rank in enumerate(tuples)}
+
+
+Template = tuple[tuple[int, ...], tuple[dict[int, int], ...], tuple[int, ...]]
+
+
+# One entry per (shape, orbit type): the partitions and compositions of
+# n <= 7 pair into 1481 keys, and a command at n = 7 reads at most
+# 15 shapes x 64 types = 960 of them.
+@lru_cache(maxsize=2048)
+def _template(lam: Partition, counts: tuple[int, ...]) -> Template:
+    """e_T on the orbit of rank tuples of type counts: (sources, vectors, pivots).
+
+    sources are the positions (`_arrangements`) of the rank tuples r that
+    fill T semistandardly, r_a <= r_b for a left of b in a row of T and
+    r_a < r_b for a below b in a column; vectors[i] is e_T(r) for the i-th
+    of them over the positions (the row sum runs over the distinct images
+    of r); pivots are the ascending pivot positions of the one exact
+    elimination over Z that checks the vectors independent, else the call
+    raises AssertionError.
+    """
+    rows, column_group, checks = _symmetrizer(lam)
+    fillings = _rank_tuples(counts, checks)
+    if not fillings:
+        return (), (), ()
+    position = _arrangements(counts)
+    vectors: list[dict[int, int]] = []
+    for rank in fillings:
+        vec: dict[int, int] = {}
+        for image in _row_images(rank, rows):
+            for move, sign in column_group:
+                j = position[move(image)]
+                vec[j] = vec.get(j, 0) + sign
+        vectors.append({j: c for j, c in vec.items() if c})
+    echelon_rows = [{j: (c,) for j, c in vec.items()} for vec in vectors]
+    pivots = forward_eliminate(echelon_rows, len(position))[0]
+    if len(pivots) < len(vectors):
+        raise AssertionError(f"block template of {lam} on type {counts} is dependent")
+    sources = tuple(position[rank] for rank in fillings)
+    return sources, tuple(vectors), tuple(pivots)
+
+
+# One entry per slice; `hilbert --kind harm -n 6 -d 15`, the widest command
+# README times, reads 16 of them, and the test suite fewer than 150.
+@lru_cache(maxsize=256)
+def _orbits(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(type, columns) for each S_n-orbit of the degree-d monomials.
+
+    The type counts each distinct exponent in increasing order, (1, 2, 1)
+    for (3, 1, 1, 0); the columns are those of the orbit's monomials in
+    slice order, descending lex, so the t-th is the monomial whose rank
+    tuple (each exponent replaced by its rank among the distinct ones) sits
+    at position t of `_arrangements(type)`.
+    """
+    columns_of: dict[tuple[int, ...], list[int]] = {}
+    for j, mono in enumerate(monomials_of_degree(n, d)):
+        columns_of.setdefault(tuple(sorted(mono)), []).append(j)
+    return tuple(
+        (tuple(len(list(run)) for _, run in groupby(values)), tuple(columns))
+        for values, columns in columns_of.items()
+    )
+
+
+# Bounded above the traffic of the whole test suite in one session (596
+# distinct keys; a bound of 256 built 399 of 339 keys twice) and of
 # `hilbert --kind harm -n 6 -d 15`, the widest command README times (11
-# shapes x 16 degrees = 176 keys, which hold 24 MB).
-@lru_cache(maxsize=512)
+# shapes x 16 degrees = 176 keys, which hold 43 MB with their transposes).
+@lru_cache(maxsize=1024)
 def block_basis(n: int, d: int, lam: Partition) -> BlockBasis:
     """An integer basis of e_T V_d, as sparse vectors over the slice columns.
 
     Column j is the j-th monomial of `monomials_of_degree(n, d)`.  The basis
-    is e_T(m) for every monomial m whose exponents fill T semistandardly:
-    m_a <= m_b for a left of b in a row of T, m_a < m_b for a below b in a
-    column (the row sum runs over the distinct images of m).  An orbit of
-    type nu has K_{lam nu} such m.  The vectors are checked independent by
-    one exact elimination over Z, else the call raises AssertionError;
-    `certify_cover` makes them a basis.
+    is e_T(m) for every monomial m whose exponents fill T semistandardly,
+    in slice order: K_{lam nu} of them in each orbit of type nu.  Each
+    vector is read off the template of its orbit's type (`_template`,
+    `_orbits`): an increasing map on the exponent values carries rank
+    tuples to the orbit's monomials, keeps semistandard fillings
+    semistandard and commutes with permuting the variables.
+    The pivots are the union of the templates' pivots, moved onto the
+    slice, and they are those of one elimination over the whole slice: the
+    map keeps the descending lex order within an orbit, vectors of
+    different orbits have disjoint supports, and greedy pivoting by columns
+    picks the lex-first column basis, block by block.  By the same disjoint
+    supports the basis is independent exactly when every template is
+    (`_template` raises AssertionError otherwise); `certify_cover` makes it
+    a basis.
     """
-    row_group, column_group, steps = _symmetrizer(lam)
-    index = linalg.slice_index(n, d)
-    basis: list[dict[int, int]] = []
-    for mono in index:
-        if any(mono[a] + s > mono[b] for a, b, s in steps):
-            continue
-        vec: dict[int, int] = {}
-        for image in {permute_monomial(mono, sigma) for sigma, _ in row_group}:
-            for tau, sign in column_group:
-                j = index[permute_monomial(image, tau)]
-                vec[j] = vec.get(j, 0) + sign
-        basis.append({j: c for j, c in vec.items() if c})
-    rows = [{j: (c,) for j, c in vec.items()} for vec in basis]
-    pivots = forward_eliminate(rows, len(index))[0]
-    if len(pivots) < len(basis):
-        raise AssertionError(f"block basis of {lam} in degree {d} is dependent")
-    return BlockBasis(basis, pivots)
+    placed: list[tuple[int, dict[int, int]]] = []
+    pivots: list[int] = []
+    for counts, columns in _orbits(n, d):
+        sources, vectors, template_pivots = _template(lam, counts)
+        for t, vec in zip(sources, vectors):
+            placed.append((columns[t], {columns[s]: c for s, c in vec.items()}))
+        pivots.extend(columns[t] for t in template_pivots)
+    placed.sort(key=itemgetter(0))
+    pivots.sort()
+    return BlockBasis([vec for _, vec in placed], pivots)
 
 
 def certify_cover(n: int, d: int) -> None:
@@ -213,15 +369,12 @@ def block_rows(
     """
     certify_cover(n, d)
     basis = block_basis(n, d, lam)
-    by_column: dict[int, list[tuple[int, int]]] = {}
-    for k, vec in enumerate(basis):
-        for j, c in vec.items():
-            by_column.setdefault(j, []).append((k, c))
     out = []
     for row in rows:
         acc: SparseIntRow = {}
         for j, poly in row.items():
-            for k, c in by_column.get(j, ()):
+            flat = iter(basis.columns.get(j, ()))
+            for k, c in zip(flat, flat):  # consecutive (k, c) pairs
                 acc[k] = qp_add(acc.get(k, ()), qp_scale(poly, c))
         acc = {k: v for k, v in acc.items() if v}
         if acc:

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import modular
@@ -357,9 +358,12 @@ def row_to_poly(row: SparseRFRow, n: int, columns: list[Monomial]) -> Polynomial
     return Polynomial(n, {columns[j]: c for j, c in row.items()})
 
 
+# One entry per slice, as `polynomials.monomials_of_degree`'s cache.
+@lru_cache(maxsize=256)
 def slice_index(n: int, d: int) -> dict[Monomial, int]:
     """The column of each monomial of the degree-d slice: the j-th monomial of
-    ``monomials_of_degree(n, d)`` maps to j, in that order."""
+    ``monomials_of_degree(n, d)`` maps to j, in that order.  The dict is
+    shared between callers, which only read it."""
     return {m: j for j, m in enumerate(monomials_of_degree(n, d))}
 
 

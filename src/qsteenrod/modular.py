@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 P = (1 << 61) - 1
 
@@ -60,6 +61,10 @@ def _evaluate(row: dict[int, tuple[int, ...]], q0: int) -> dict[int, int]:
     return vec
 
 
+# One entry per seed string: one round of the `formal` benchmark asks 727
+# times for 62 distinct strings (`rational` 398 for 54), so each shape seeds
+# a ``random.Random``, a SHA-512 of the string, once.
+@lru_cache(maxsize=1024)
 def seeded_point(seed: str) -> int:
     """A q0 in [2, P) drawn by a ``random.Random`` seeded with seed."""
     return random.Random(seed).randrange(2, P)

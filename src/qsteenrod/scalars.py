@@ -366,8 +366,13 @@ class RationalFunction:
 
     @staticmethod
     def make(num: IntPoly, den: IntPoly = QP_ONE) -> "RationalFunction":
-        if not den:
-            raise ZeroDenominatorError("zero denominator in Q(q) scalar")
+        # Only a zero last coefficient sends a tuple through qp_trim.
+        if not (den and den[-1]):
+            den = qp_trim(den)
+            if not den:
+                raise ZeroDenominatorError("zero denominator in Q(q) scalar")
+        if num and not num[-1]:
+            num = qp_trim(num)
         if not num:
             return RF_ZERO
         if den == QP_ONE:

@@ -9,7 +9,7 @@ import pytest
 from qsteenrod import isotypic, spaces
 from qsteenrod.isotypic import block_basis, blocks
 from qsteenrod.linalg import forward_eliminate, sparse_rank
-from qsteenrod.polynomials import monomials_of_degree
+from qsteenrod.polynomials import monomials_of_degree, permute_monomial
 from qsteenrod.representations import standard_tableaux
 from qsteenrod.scalars import FORMAL, QParam
 from qsteenrod.specialize import constraint_stacks, harmonic_constraint_rows
@@ -149,14 +149,82 @@ def test_block_basis_n6():
         assert total == math.comb(n + d - 1, d), d
 
 
+def _reference_block_basis(n, d, lam):
+    """e_T(m) for every semistandard monomial m in slice order, each from
+    |R(T)| |C(T)| permutations of m, and the pivots of one elimination over
+    the whole slice: the construction `block_basis` reads off its templates."""
+    tableau = next(standard_tableaux(lam))
+    row_group, column_group = _group(tableau.rows, n), _group(tableau.columns(), n)
+    steps = [
+        (a - 1, b - 1, s)
+        for s, parts in enumerate((tableau.rows, tableau.columns()))
+        for part in parts
+        for a, b in zip(part, part[1:])
+    ]
+    columns = monomials_of_degree(n, d)
+    index = {m: j for j, m in enumerate(columns)}
+    basis = []
+    for mono in columns:
+        if any(mono[a] + s > mono[b] for a, b, s in steps):
+            continue
+        vec = Counter()
+        for image in {permute_monomial(mono, sigma) for sigma, _ in row_group}:
+            for tau, sign in column_group:
+                vec[index[permute_monomial(image, tau)]] += sign
+        basis.append({j: c for j, c in vec.items() if c})
+    rows = [{j: (c,) for j, c in vec.items()} for vec in basis]
+    pivots = forward_eliminate(rows, len(columns))[0]
+    assert len(pivots) == len(basis)
+    return basis, tuple(pivots)
+
+
+@pytest.mark.parametrize(
+    "n, top", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 10), (7, 8)]
+)
+def test_block_basis_matches_the_per_monomial_reference(n, top):
+    for d in range(top + 1):
+        for lam, _ in blocks(n):
+            basis = block_basis(n, d, lam)
+            vectors, pivots = _reference_block_basis(n, d, lam)
+            assert list(basis) == vectors, (n, d, lam)
+            assert basis.pivots == pivots, (n, d, lam)
+
+
 def test_dependent_block_basis_raises(monkeypatch):
     def short(rows, ncols):
         pivots, echelon = forward_eliminate(rows, ncols)
         return pivots[1:], echelon[1:]
 
+    # The templates are cached: clear them so the call eliminates again, and
+    # again afterwards so none built under the patch outlives the test.
+    isotypic._template.cache_clear()
     monkeypatch.setattr(isotypic, "forward_eliminate", short)
-    with pytest.raises(AssertionError, match="dependent"):
-        block_basis.__wrapped__(3, 4, (2, 1))
+    try:
+        with pytest.raises(AssertionError, match="dependent"):
+            block_basis.__wrapped__(3, 4, (2, 1))
+    finally:
+        isotypic._template.cache_clear()
+
+
+def test_short_template_fails_the_cover(monkeypatch):
+    # A template of (2, 1) on orbit type (1, 1, 1) (three distinct exponents)
+    # with one vector dropped leaves every block basis of (2, 1) built from
+    # it a vector short; block_ranks must notice through its cover check.
+    real = isotypic._template
+
+    def short(lam, counts):
+        sources, vectors, pivots = real(lam, counts)
+        if (lam, counts) == ((2, 1), (1, 1, 1)):
+            return sources[1:], vectors[1:], pivots[1:]
+        return sources, vectors, pivots
+
+    block_basis.cache_clear()
+    monkeypatch.setattr(isotypic, "_template", short)
+    try:
+        with pytest.raises(AssertionError, match="cover"):
+            isotypic.block_ranks(spaces.rule_stacks("harm", 3, 4, FORMAL), 3, 4)
+    finally:
+        block_basis.cache_clear()
 
 
 def test_block_consumers_certify_the_cover_themselves(monkeypatch):

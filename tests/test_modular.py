@@ -1,6 +1,7 @@
 """The mod-p full-rank certificate: differential, forced-failure and
 Las Vegas checks against the exact Z[q] elimination."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -109,6 +110,14 @@ def test_q0_is_reproducible():
     # the reduction stops at target, and where the rows left cannot reach it
     assert modular.rank_mod_p([{0: (1,)}, {1: (1,)}], 2, 1) == 1
     assert modular.rank_mod_p([{0: (1,)}, {1: (1,)}], 3, 3) == 0
+
+
+def test_seeded_point_is_memoized_and_unchanged():
+    modular.seeded_point.cache_clear()
+    seeds = ["2x3", "P_lambda 3 5", "2x3"]
+    points = [modular.seeded_point(seed) for seed in seeds]
+    assert points == [random.Random(seed).randrange(2, modular.P) for seed in seeds]
+    assert modular.seeded_point.cache_info().misses == 2
 
 
 def test_rank_at_a_point_runs_to_completion():

@@ -9,6 +9,7 @@ from qsteenrod import scalars
 from qsteenrod.errors import PoleError, ZeroDenominatorError
 from qsteenrod.scalars import (
     QParam,
+    RationalFunction,
     RF_ONE,
     RF_Q,
     RF_ZERO,
@@ -44,6 +45,21 @@ def test_normalize_content():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominatorError):
         rf_normalize((1,), ())
+
+
+def test_denominator_that_trims_to_zero_rejected():
+    with pytest.raises(ZeroDenominatorError):
+        RationalFunction.make((1,), (0,))
+    with pytest.raises(ZeroDenominatorError):
+        RationalFunction.make((), (0, 0))
+
+
+def test_untrimmed_tuples_are_trimmed():
+    got = RationalFunction.make((1, 0), (1,))
+    assert got == RationalFunction.make((1,)) and got.num == (1,)
+    got = RationalFunction.make((2, 4, 0), (2, 0))
+    assert (got.num, got.den) == ((1, 2), (1,))
+    assert RationalFunction.make((0, 0), (3, 0)) == RF_ZERO
 
 
 def test_denominator_sign_normalized():
